@@ -31,6 +31,8 @@ CROSSING_RESIDUAL_RAD = 1e-9
 # Minimum scan density accepted by bias_zone_scan, in points per pi of range.
 MIN_RESOLUTION_PER_PI = 1000
 
+TWO_PI = 2.0 * math.pi
+
 
 @dataclass(frozen=True)
 class SpuriousCount:
@@ -52,13 +54,13 @@ class SpuriousCount:
 
 @dataclass(frozen=True)
 class PhaseShiftSolution:
-    """One branch solution of the accidental-count -> phase-shift inversion.
+    """The least-magnitude solution of the accidental-count -> phase-shift inversion.
 
-    ``value_rad`` is the signed shift; ``branch_sign`` is the sign applied
-    to the arccosine and ``branch_index`` the fringe index n in
-    ``(sign*acos(...) + 2*pi*n)/N - phase``.  When ``defined`` is False the
-    accidental count exceeds what any real shift could add at this bias
-    and ``value_rad`` is NaN.
+    ``value_rad`` is the signed shift; ``branch_sign`` is the sign of the
+    arccosine branch it lies on and ``branch_index`` the fringe index n, so
+    that ``N*(phase + value_rad) = sign*acos(...) + 2*pi*n``.  When
+    ``defined`` is False the accidental count exceeds what any real shift
+    could add at this bias, ``value_rad`` is NaN and sign and index are 0.
     """
 
     value_rad: float
@@ -119,19 +121,23 @@ def spurious_coincidences(singles_total: float, order: int, det: DetectionSpec,
     _require_finite(dark_rate_hz, "dark_rate_hz")
     _require(dark_rate_hz >= 0.0, "dark_rate_hz", "must be >= 0")
     per_detector = singles_total / order + dark_rate_hz * det.measurement_time_s
-    count = (per_detector ** order) * (det.jitter_s / det.measurement_time_s) ** (order - 1)
-    return SpuriousCount.from_count(count, det.measurement_time_s)
+    return spurious_coincidences_per_detector([per_detector] * order, det)
 
 
 def spurious_coincidences_per_detector(counts, det: DetectionSpec) -> SpuriousCount:
-    """Generalized accidental count for unequal per-detector counts."""
+    """Generalized accidental count for unequal per-detector counts.
+
+    Accumulated as ``m_1 * prod_{i>=2} (m_i * jitter / t_meas)`` so that
+    large N stays in floating-point range wherever the count itself does.
+    """
     _require(len(counts) >= 2, "counts", "need at least two detectors")
-    product = 1.0
     for i, m in enumerate(counts):
         _require_finite(m, f"counts[{i}]")
         _require(m >= 0.0, f"counts[{i}]", "must be >= 0")
-        product *= m
-    count = product * (det.jitter_s / det.measurement_time_s) ** (len(counts) - 1)
+    ratio = det.jitter_s / det.measurement_time_s
+    count = counts[0]
+    for m in counts[1:]:
+        count *= m * ratio
     return SpuriousCount.from_count(count, det.measurement_time_s)
 
 
@@ -149,17 +155,21 @@ def coincidence_shift_forward(pairs: float, phase_total_rad: float, order: int,
     return -pairs * math.sin(order * phase_total_rad + half) * math.sin(half)
 
 
-def _shift_candidates(phase_total_rad: float, order: int, acos_arg: float):
-    """All (value, sign, n) branch solutions near the operating fringe."""
-    theta = math.acos(acos_arg)
-    scaled = order * phase_total_rad
-    base = round(scaled / (2.0 * math.pi))
-    out = []
-    for sign in (1, -1):
-        for n in range(base - 2, base + 3):
-            value = (sign * theta + 2.0 * math.pi * n) / order - phase_total_rad
-            out.append((value, sign, n))
-    return out
+def _minimal_branch(theta, scaled):
+    """Least-magnitude ``sign*theta + 2*pi*n - scaled`` over both signs and all n.
+
+    ``theta`` is the arccosine of the target fringe value and ``scaled`` the
+    current N*phi; either may be a float or an array.  Returns the signed
+    scaled shift N*dphi, wrapped into [-pi, pi), and whether the +theta
+    branch gave it; ties go to +theta.  Python floats stay Python floats,
+    which keeps the scalar inversion cheap.
+    """
+    plus = (theta - scaled + math.pi) % TWO_PI - math.pi
+    minus = (-theta - scaled + math.pi) % TWO_PI - math.pi
+    use_plus = abs(plus) <= abs(minus)
+    if isinstance(use_plus, np.ndarray):
+        return np.where(use_plus, plus, minus), use_plus
+    return (plus if use_plus else minus), use_plus
 
 
 def phase_shift_spurious(pairs: float, phase_total_rad: float, order: int,
@@ -168,32 +178,25 @@ def phase_shift_spurious(pairs: float, phase_total_rad: float, order: int,
 
     Solves ``delta_pcc = P_cc(phi + dphi) - P_cc(phi)`` for ``dphi``:
     ``dphi = (sign*acos(2*dpcc/pairs + cos(N*phi)) + 2*pi*n)/N - phi``.
-    Both arccosine signs and fringe indices n are enumerated and the
-    smallest-magnitude solution that round-trips through
-    :func:`coincidence_shift_forward` is returned.  When the arccosine
-    argument exceeds one (near a coincidence-maximum cusp) no real solution
-    exists and the result carries ``defined=False``.
+    Of all arccosine signs and fringe indices n the smallest-magnitude
+    solution is returned, with the sign and index it came from.
+    :func:`coincidence_shift_forward` maps it back to the accidental count.
+    When the arccosine argument exceeds one (near a coincidence-maximum
+    cusp) no real solution exists and the result carries ``defined=False``.
     """
     _require_finite(pairs, "pairs")
     _require(pairs > 0.0, "pairs", "must be > 0")
     _require_finite(phase_total_rad, "phase_total_rad")
     _require(order >= 1, "order", f"must be >= 1, got {order}")
-    acos_arg = 2.0 * count.delta_pcc / pairs + math.cos(order * phase_total_rad)
+    scaled = order * phase_total_rad
+    acos_arg = 2.0 * count.delta_pcc / pairs + math.cos(scaled)
     if acos_arg > 1.0:
         return PhaseShiftSolution(math.nan, 0, 0, False)
-    acos_arg = max(acos_arg, -1.0)
-
-    tol = 1e-9 * count.delta_pcc + 1e-13 * pairs
-    best = None
-    for value, sign, n in _shift_candidates(phase_total_rad, order, acos_arg):
-        if abs(coincidence_shift_forward(pairs, phase_total_rad, order, value)
-               - count.delta_pcc) > tol:
-            continue
-        if best is None or abs(value) < abs(best[0]):
-            best = (value, sign, n)
-    if best is None:  # float pathology; should not happen for valid inputs
-        raise ArithmeticError("no phase-shift branch reproduces the accidental count")
-    return PhaseShiftSolution(best[0], best[1], best[2], True)
+    theta = math.acos(max(acos_arg, -1.0))
+    shift, plus = _minimal_branch(theta, scaled)
+    sign = 1 if plus else -1
+    index = round((scaled + shift - sign * theta) / TWO_PI)
+    return PhaseShiftSolution(shift / order, sign, index, True)
 
 
 def phase_shift_cusp(pairs: float, order: int, count: SpuriousCount) -> float:
@@ -224,11 +227,12 @@ def undefined_half_width(pairs: float, order: int, count: SpuriousCount) -> floa
 
 def phase_shift_profile(pairs: float, phase_total_rad, order: int,
                         count: SpuriousCount):
-    """Vectorized smallest-magnitude phase shift over a grid of bias points.
+    """Smallest-magnitude phase shift over an array of bias points.
 
     Returns ``(signed, defined)`` arrays: the signed minimal solution (NaN
     where undefined) and a boolean mask of where a real solution exists.
-    Matches :func:`phase_shift_spurious` pointwise.
+    The same inversion as :func:`phase_shift_spurious`, evaluated with
+    NumPy over the whole array at once.
     """
     _require(pairs > 0.0, "pairs", "must be > 0")
     phases = np.asarray(phase_total_rad, dtype=float)
@@ -236,12 +240,8 @@ def phase_shift_profile(pairs: float, phase_total_rad, order: int,
     acos_arg = 2.0 * count.delta_pcc / pairs + np.cos(scaled)
     defined = acos_arg <= 1.0
     theta = np.arccos(np.clip(acos_arg, -1.0, 1.0))
-
-    two_pi = 2.0 * math.pi
-    plus = np.mod(theta - scaled + math.pi, two_pi) - math.pi
-    minus = np.mod(-theta - scaled + math.pi, two_pi) - math.pi
-    signed = np.where(np.abs(plus) <= np.abs(minus), plus, minus) / order
-    signed = np.where(defined, signed, np.nan)
+    shift, _ = _minimal_branch(theta, scaled)
+    signed = np.where(defined, shift / order, np.nan)
     return signed, defined
 
 
@@ -280,12 +280,12 @@ def _merge_intervals(intervals):
     return out
 
 
-def _hot_intervals(pairs, order, count, threshold, lo, hi, grid, values, defined):
+def _hot_intervals(pairs, order, count, threshold, lo, hi, grid, values, defined, boundaries):
     """Maximal intervals where |dphi| > threshold or no solution exists.
 
     Interval edges interior to the range are refined by bisection; edges
-    that land on an undefined-region boundary are snapped to the analytic
-    boundary.  Returns (intervals, crossing_points).
+    that land on an undefined-region boundary are snapped to the nearest
+    of ``boundaries``, the analytic edges.  Returns (intervals, crossing_points).
     """
     hot = ~defined | (np.abs(np.where(defined, values, np.inf)) > threshold)
     if not hot.any():
@@ -299,7 +299,6 @@ def _hot_intervals(pairs, order, count, threshold, lo, hi, grid, values, defined
     def objective(phi):
         return _abs_shift_or_inf(pairs, phi, order, count) - threshold
 
-    boundaries = _undefined_boundaries(pairs, order, count, lo, hi)
     intervals = []
     crossings = []
     for s, e in zip(starts, ends):
@@ -324,20 +323,6 @@ def _hot_intervals(pairs, order, count, threshold, lo, hi, grid, values, defined
                 right = _snap_to_boundary(right, boundaries)
         intervals.append((left, right))
     return _merge_intervals(intervals), sorted(crossings)
-
-
-def _undefined_boundaries(pairs, order, count, lo, hi):
-    width = undefined_half_width(pairs, order, count)
-    if count.delta_pcc == 0.0 or width == 0.0:
-        return []
-    cell = math.pi / order
-    out = []
-    k = math.floor(lo / (2.0 * cell)) - 1
-    while 2.0 * cell * k - width <= hi + cell:
-        center = 2.0 * cell * k
-        out.extend([center - width, center + width])
-        k += 1
-    return out
 
 
 def _snap_to_boundary(phi, boundaries):
@@ -403,25 +388,26 @@ def bias_zone_scan(pairs: float, order: int, count: SpuriousCount,
                for k in range(math.ceil((lo - 0.5 * cell) / cell - 1e-12),
                               math.floor((hi - 0.5 * cell) / cell + 1e-12) + 1)]
 
-    width = undefined_half_width(pairs, order, count) if count.delta_pcc > 0.0 else 0.0
-    undefined = []
+    # Undefined cores around every coincidence maximum that reaches the
+    # range, unclipped: their edges are where scan edges get snapped.
+    width = undefined_half_width(pairs, order, count)
+    cores = []
     if width > 0.0:
-        if 2.0 * count.delta_pcc / pairs >= 2.0:
-            undefined = [(lo, hi)]
-        else:
-            for k in range(math.floor(lo / (2.0 * cell)) - 1, math.ceil(hi / (2.0 * cell)) + 2):
-                center = 2.0 * cell * k
-                a, b = center - width, center + width
-                if b > lo and a < hi:
-                    undefined.append((max(a, lo), min(b, hi)))
+        cores = [(2.0 * cell * k - width, 2.0 * cell * k + width)
+                 for k in range(math.floor(lo / (2.0 * cell)) - 1, math.ceil(hi / (2.0 * cell)) + 2)]
+    if 2.0 * count.delta_pcc / pairs >= 2.0:
+        undefined = [(lo, hi)]
+    else:
+        undefined = [(max(a, lo), min(b, hi)) for a, b in cores if b > lo and a < hi]
+    boundaries = [edge for core in cores for edge in core]
 
     above_shot, crossings = _hot_intervals(pairs, order, count, shot_noise_rad,
-                                           lo, hi, grid, values, defined)
+                                           lo, hi, grid, values, defined, boundaries)
     if safe_threshold_rad == shot_noise_rad:
         above_safe = above_shot
     else:
         above_safe, _ = _hot_intervals(pairs, order, count, safe_threshold_rad,
-                                       lo, hi, grid, values, defined)
+                                       lo, hi, grid, values, defined, boundaries)
     safe = _complement(_merge_intervals(above_safe + undefined), lo, hi)
 
     return BiasZoneReport(
@@ -460,5 +446,6 @@ def max_singles_flux(pairs_rate_hz: float, order: int, det: DetectionSpec,
     target_shift = safety_margin / math.sqrt(order * order * pairs)
     # Exact inversion at quadrature; saturates at the largest reachable shift.
     target_count = 0.5 * pairs * math.sin(min(order * target_shift, 0.5 * math.pi))
-    per_detector = (target_count * (t / det.jitter_s) ** (order - 1)) ** (1.0 / order)
+    # Split into two roots so that (t/jitter)**(N-1) cannot overflow at large N.
+    per_detector = target_count ** (1.0 / order) * (t / det.jitter_s) ** ((order - 1) / order)
     return order * per_detector / t

@@ -148,6 +148,18 @@ def test_budget_flags_undefined_bias_and_succeeds(tmp_path, bench_dict, capsys):
     assert "undefined" in _budget_value(out, "accidental phase shift at bias [rad]")
 
 
+def test_budget_large_order_stays_finite(tmp_path, bench_dict, capsys):
+    # (t_meas/jitter)**(N-1) alone exceeds float range at N = 40.
+    bench_dict["source"]["noon_order"] = 40
+    assert main(["budget", "--config", _write(tmp_path, bench_dict)]) == 0
+    out = capsys.readouterr().out
+    for label in ("accidental count over t_meas",
+                  "accidental phase shift at bias [rad]",
+                  "cusp peak phase error [rad]",
+                  "max tolerable singles flux [Hz]"):
+        assert math.isfinite(float(_budget_value(out, label).split()[0]))
+
+
 def test_sweep_trivial_two_points(tmp_path, bench_dict):
     # Lossless path with a pure source: no uncorrelated flux at all.
     bench_dict["path"] = {"fiber_loss_db_per_km": 0.0, "lumped_loss_db": 0.0}

@@ -163,6 +163,42 @@ def test_experiment_deterministic_and_worker_invariant():
     assert np.array_equal(runs[0].estimates_rad, runs[2].estimates_rad, equal_nan=True)
 
 
+def _invert_fringe(k: float, m: int, coherence: float, order: int,
+                   true_scaled: float) -> float:
+    """Reference estimator: one count through the ideal fringe, branch by branch."""
+    arg = (2.0 * k / m - 1.0) / coherence
+    if abs(arg) > 1.0:
+        return math.nan
+    theta = math.acos(arg)
+    best = math.nan
+    for sign in (1.0, -1.0):
+        n = round((true_scaled - sign * theta) / (2.0 * math.pi))
+        cand = sign * theta + 2.0 * math.pi * n
+        if math.isnan(best) or abs(cand - true_scaled) < abs(best - true_scaled):
+            best = cand
+    return best / order
+
+
+@pytest.mark.parametrize("pairs, phase, coherence, delta_pcc, seed, trials", [
+    (1e6, math.pi / 4, 1.0, 0.0, 23, 400),
+    (1e5, 0.0, 1.0, 5.0, 31, 100),  # most trials fail
+    (1e5, math.pi / 4, 0.98, 3.0, 37, 50),
+], ids=["quadrature", "maximum_cusp", "partial_coherence"])
+def test_experiment_matches_per_trial_reference(pairs, phase, coherence, delta_pcc, seed, trials):
+    order, m = 2, int(round(pairs))
+    result = simulate_experiment(pairs, PhasePoint(phase), order, coherence,
+                                 SpuriousCount.from_count(delta_pcc, 1.0),
+                                 McConfig(seed=seed, trials=trials))
+    prob = 0.5 * (1.0 + coherence * math.cos(order * phase))
+    for i, estimate in enumerate(result.estimates_rad):
+        rng = rng_stream(seed, i)
+        k = rng.binomial(m, prob) + (rng.poisson(delta_pcc) if delta_pcc > 0.0 else 0)
+        expected = _invert_fringe(float(k), m, coherence, order, order * phase)
+        assert math.isnan(estimate) == math.isnan(expected)
+        if not math.isnan(expected):
+            assert estimate == pytest.approx(expected, abs=1e-12)
+
+
 def test_experiment_validation():
     mc = McConfig(seed=1, trials=2)
     with pytest.raises(ValueError, match="pairs"):

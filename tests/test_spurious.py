@@ -78,6 +78,11 @@ def test_per_detector_product_matches_equal_split():
     assert product == pytest.approx(equal, rel=1e-12)
     lopsided = spurious_coincidences_per_detector([2e7, 0.5e7, 0.5e7], DET).delta_pcc
     assert lopsided != pytest.approx(equal, rel=1e-3)
+    # 1e9 per detector: m**N leaves float range from N = 35 on, the count does not.
+    for order in range(2, 41):
+        equal = spurious_coincidences(1e9 * order, order, DET).delta_pcc
+        product = spurious_coincidences_per_detector([1e9] * order, DET).delta_pcc
+        assert equal == pytest.approx(product, rel=1e-12)
 
 
 def test_forward_map_zero_and_periodic():
@@ -162,6 +167,11 @@ def test_inversion_round_trip():
         assert solution.defined
         recovered = coincidence_shift_forward(pairs, phi, order, solution.value_rad)
         assert abs(recovered - count.delta_pcc) <= 1e-9 * count.delta_pcc
+        # The reported branch reproduces the shift: N*(phi + dphi) = sign*acos + 2*pi*n.
+        theta = math.acos(2.0 * count.delta_pcc / pairs + math.cos(order * phi))
+        residual = (order * (phi + solution.value_rad) - solution.branch_sign * theta
+                    - 2.0 * math.pi * solution.branch_index)
+        assert abs(residual) <= 1e-9
 
 
 def test_profile_matches_scalar_solver():
