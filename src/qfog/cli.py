@@ -172,13 +172,25 @@ def _e(x: float) -> str:
     return f"{x:.8e}"
 
 
+def _table(rows, width=None) -> str:
+    """Render ``(label, value)`` rows as ``label  value`` lines.
+
+    Labels are left-aligned to ``width`` (default: the widest label); a
+    ``None`` value prints the label alone, for headings and list items.
+    """
+    if width is None:
+        width = max(len(label) for label, _ in rows)
+    return "\n".join(label if value is None else f"{label:<{width}}  {value}"
+                     for label, value in rows)
+
+
 def format_budget(b: NoiseBudget) -> str:
     if b.phase_shift.defined:
         shift_line = (f"{_e(b.phase_shift.value_rad)}  "
                       f"(branch sign {b.phase_shift.branch_sign:+d}, index {b.phase_shift.branch_index})")
     else:
         shift_line = "undefined (bias sits inside an excluded zone; no real shift reproduces the count)"
-    rows = [
+    return _table([
         ("entangled order N", str(b.noon_order)),
         ("single-photon transmission T", _e(b.transmission)),
         ("pair fraction at detectors R", _e(b.detector_noon_fraction)),
@@ -212,13 +224,7 @@ def format_budget(b: NoiseBudget) -> str:
         ("earth rotation rate [rad/s]", _e(EARTH_RATE_RAD_PER_S)),
         ("resolves earth rate", "yes" if b.omega_min_rad_per_s < EARTH_RATE_RAD_PER_S else "no"),
         ("max tolerable singles flux [Hz]", _e(b.max_singles_flux_hz)),
-    ]
-    width = max(len(name) for name, _ in rows)
-    return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
-
-
-def _run_budget(cfg: InstrumentConfig, args) -> str:
-    return format_budget(assemble_budget(cfg))
+    ])
 
 
 def sweep_rows(cfg: InstrumentConfig, from_rad: float, to_rad: float, points: int) -> str:
@@ -233,19 +239,18 @@ def sweep_rows(cfg: InstrumentConfig, from_rad: float, to_rad: float, points: in
     if not to_rad > from_rad:
         raise ValueError("sweep range: --from must be strictly below --to")
     b = assemble_budget(cfg)
-    order = b.noon_order
     grid = np.linspace(from_rad, to_rad, points)
-    signed, defined = phase_shift_profile(b.effective_pairs, grid, order, b.spurious)
-    tenth = 0.1 * b.shot_noise_rad
+    signed, defined = phase_shift_profile(b.effective_pairs, grid, b.noon_order, b.spurious)
+    # Shot noise, its tenth and the cusp error are the same on every row.
+    constants = f"{_e(b.shot_noise_rad)},{_e(0.1 * b.shot_noise_rad)},{_e(b.cusp_shift_rad)}"
     lines = [",".join(SWEEP_COLUMNS)]
     for phi, value, ok in zip(grid, signed, defined):
         err = _e(abs(value)) if ok else ""
-        lines.append(f"{_e(float(phi))},{err},{1 if ok else 0},"
-                     f"{_e(b.shot_noise_rad)},{_e(tenth)},{_e(b.cusp_shift_rad)}")
+        lines.append(f"{_e(float(phi))},{err},{1 if ok else 0},{constants}")
     return "\n".join(lines) + "\n"
 
 
-def _run_sweep(cfg: InstrumentConfig, args) -> str:
+def _write_sweep(cfg: InstrumentConfig, args) -> str:
     text = sweep_rows(cfg, args.from_rad, args.to_rad, args.points)
     try:
         with open(args.out, "w", newline="") as handle:
@@ -255,50 +260,39 @@ def _run_sweep(cfg: InstrumentConfig, args) -> str:
     return f"wrote {args.points} rows to {args.out}"
 
 
-def _interval_lines(intervals) -> list[str]:
-    if not intervals:
-        return ["  (none)"]
-    return [f"  [{_e(lo)}, {_e(hi)}]" for lo, hi in intervals]
-
-
-def format_zones(cfg: InstrumentConfig, threshold: str = "shot",
-                 phase_range: tuple[float, float] = (0.0, math.pi),
-                 resolution: int = 4096) -> str:
+def format_zones(cfg: InstrumentConfig, threshold: str = "shot") -> str:
+    """Cusp, undefined, noisy and safe-window table over total phase [0, pi]."""
     b = assemble_budget(cfg)
     order = b.noon_order
     safe_threshold = b.shot_noise_rad if threshold == "shot" else 0.1 * b.shot_noise_rad
     report = bias_zone_scan(b.effective_pairs, order, b.spurious, b.shot_noise_rad,
-                            phase_range=phase_range, resolution=resolution,
                             safe_threshold_rad=safe_threshold)
-    lines = [
-        f"total-phase range scanned [rad]        [{_e(phase_range[0])}, {_e(phase_range[1])}]",
-        f"shot-noise threshold [rad]             {_e(report.shot_noise_rad)}",
-        f"safe-window threshold [rad]            {_e(report.safe_threshold_rad)} ({threshold})",
-        "cusps (k*pi/N) [rad]:",
+    rows = [
+        ("total-phase range scanned [rad]", f"[{_e(0.0)}, {_e(math.pi)}]"),
+        ("shot-noise threshold [rad]", _e(report.shot_noise_rad)),
+        ("safe-window threshold [rad]", f"{_e(report.safe_threshold_rad)} ({threshold})"),
+        ("cusps (k*pi/N) [rad]:", None),
     ]
     for cusp in report.cusp_locations:
         kind = "coincidence maximum" if round(order * cusp / math.pi) % 2 == 0 else "coincidence minimum"
-        lines.append(f"  {_e(cusp)}  {kind}")
-    lines.append("undefined intervals (no real solution) [rad]:")
-    lines.extend(_interval_lines(report.undefined_intervals))
-    lines.append("above-shot-noise intervals [rad]:")
-    lines.extend(_interval_lines(report.above_shot_noise_intervals))
+        rows.append((f"  {_e(cusp)}  {kind}", None))
+    offsets = []
     if report.crossings_rad and report.cusp_locations:
-        offsets = sorted({f"{abs(c - min(report.cusp_locations, key=lambda k: abs(k - c))) * 1e3:.4f}"
-                          for c in report.crossings_rad})
-        lines.append(f"computed crossing offsets from cusps [mrad]: {', '.join(offsets)}")
-        lines.append(f"published estimate for this regime [mrad]: "
-                     f"{REFERENCE_CROSSING_MRAD:.1f} (for comparison, not asserted)")
-    lines.append("safe windows (|dphi| < threshold) [rad]:")
-    lines.extend(_interval_lines(report.safe_windows))
-    lines.append("optimal bias points (pi/2N + k*pi/N) [rad]:")
-    for point in report.optimal_bias_points:
-        lines.append(f"  {_e(point)}")
-    return "\n".join(lines)
-
-
-def _run_zones(cfg: InstrumentConfig, args) -> str:
-    return format_zones(cfg, threshold=args.threshold)
+        mrad = sorted({f"{abs(c - min(report.cusp_locations, key=lambda k: abs(k - c))) * 1e3:.4f}"
+                       for c in report.crossings_rad})
+        offsets = [(f"computed crossing offsets from cusps [mrad]: {', '.join(mrad)}", None),
+                   (f"published estimate for this regime [mrad]: "
+                    f"{REFERENCE_CROSSING_MRAD:.1f} (for comparison, not asserted)", None)]
+    for heading, intervals, after in (
+            ("undefined intervals (no real solution) [rad]:", report.undefined_intervals, []),
+            ("above-shot-noise intervals [rad]:", report.above_shot_noise_intervals, offsets),
+            ("safe windows (|dphi| < threshold) [rad]:", report.safe_windows, [])):
+        rows.append((heading, None))
+        rows += [(f"  [{_e(lo)}, {_e(hi)}]", None) for lo, hi in intervals] or [("  (none)", None)]
+        rows += after
+    rows.append(("optimal bias points (pi/2N + k*pi/N) [rad]:", None))
+    rows += [(f"  {_e(point)}", None) for point in report.optimal_bias_points]
+    return _table(rows, width=37)
 
 
 def format_mc(cfg: InstrumentConfig, trials: int, seed: int, scale: float,
@@ -327,47 +321,35 @@ def format_mc(cfg: InstrumentConfig, trials: int, seed: int, scale: float,
                       else "undefined (excluded bias zone)")
     shot_scaled = shot_noise(order, noon_pairs=pairs_scaled)
 
-    lines = [
-        f"window mode                         {det.window_mode.value}",
-        f"trials / seed                       {trials} / {seed}",
-        f"scaled measurement time [s]         {_e(scaled_det.measurement_time_s)}",
-        f"per-detector singles rate [Hz]      {_e(rates[0])}",
-        "uncorrelated-coincidence run:",
-        f"  mean count                        {_e(coincidences.mean_coincidences)}",
-        f"  variance                          {_e(coincidences.variance)}",
-        f"  analytic prediction               {_e(coincidences.analytic_prediction)}",
-        f"  z-score                           {coincidences.z_score:+.6f}",
-        f"phase-estimate run at total phase {_e(point.total_rad)} rad:",
-        f"  inversion failures                {estimate.n_failures} of {estimate.n_trials}",
-        f"  empirical bias [rad]              {_e(estimate.bias_rad)}",
-        f"  predicted bias [rad]              {predicted_line}",
-        f"  empirical spread [rad]            {_e(estimate.spread_rad)}",
-        f"  shot-noise spread [rad]           {_e(shot_scaled)}",
-    ]
-    return "\n".join(lines)
-
-
-def _run_mc(cfg: InstrumentConfig, args) -> str:
-    return format_mc(cfg, args.trials, args.seed, args.scale, args.workers)
+    return _table([
+        ("window mode", det.window_mode.value),
+        ("trials / seed", f"{trials} / {seed}"),
+        ("scaled measurement time [s]", _e(scaled_det.measurement_time_s)),
+        ("per-detector singles rate [Hz]", _e(rates[0])),
+        ("uncorrelated-coincidence run:", None),
+        ("  mean count", _e(coincidences.mean_coincidences)),
+        ("  variance", _e(coincidences.variance)),
+        ("  analytic prediction", _e(coincidences.analytic_prediction)),
+        ("  z-score", f"{coincidences.z_score:+.6f}"),
+        (f"phase-estimate run at total phase {_e(point.total_rad)} rad:", None),
+        ("  inversion failures", f"{estimate.n_failures} of {estimate.n_trials}"),
+        ("  empirical bias [rad]", _e(estimate.bias_rad)),
+        ("  predicted bias [rad]", predicted_line),
+        ("  empirical spread [rad]", _e(estimate.spread_rad)),
+        ("  shot-noise spread [rad]", _e(shot_scaled)),
+    ], width=34)
 
 
 def format_omega_min(cfg: InstrumentConfig) -> str:
     b = assemble_budget(cfg)
-    total_photons = b.noon_order * b.noon_pairs
-    lines = [
-        f"entangled order N                    {b.noon_order}",
-        f"photon budget M = N*pairs            {_e(total_photons)}",
-        f"shot-noise phase [rad]               {_e(b.shot_noise_rad)}",
-        f"minimum resolvable rotation [rad/s]  {_e(b.omega_min_rad_per_s)}",
-        f"earth rotation rate [rad/s]          {_e(EARTH_RATE_RAD_PER_S)}",
-        f"resolves earth rate                  "
-        f"{'yes' if b.omega_min_rad_per_s < EARTH_RATE_RAD_PER_S else 'no'}",
-    ]
-    return "\n".join(lines)
-
-
-def _run_omega_min(cfg: InstrumentConfig, args) -> str:
-    return format_omega_min(cfg)
+    return _table([
+        ("entangled order N", str(b.noon_order)),
+        ("photon budget M = N*pairs", _e(b.noon_order * b.noon_pairs)),
+        ("shot-noise phase [rad]", _e(b.shot_noise_rad)),
+        ("minimum resolvable rotation [rad/s]", _e(b.omega_min_rad_per_s)),
+        ("earth rotation rate [rad/s]", _e(EARTH_RATE_RAD_PER_S)),
+        ("resolves earth rate", "yes" if b.omega_min_rad_per_s < EARTH_RATE_RAD_PER_S else "no"),
+    ])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    add("budget", _run_budget, "full noise budget report")
+    add("budget", lambda cfg, a: format_budget(assemble_budget(cfg)), "full noise budget report")
 
-    p = add("sweep", _run_sweep, "accidental phase error vs total phase, to CSV")
+    p = add("sweep", _write_sweep, "accidental phase error vs total phase, to CSV")
     p.add_argument("--from", dest="from_rad", type=float, required=True,
                    help="start of the total-phase range [rad]")
     p.add_argument("--to", dest="to_rad", type=float, required=True,
@@ -392,11 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, required=True, help="number of rows")
     p.add_argument("--out", required=True, help="output CSV path")
 
-    p = add("zones", _run_zones, "cusp, undefined and safe-bias-window table")
+    p = add("zones", lambda cfg, a: format_zones(cfg, threshold=a.threshold),
+            "cusp, undefined and safe-bias-window table")
     p.add_argument("--threshold", choices=("shot", "tenth"), default="shot",
                    help="safe-window threshold: shot noise or a tenth of it")
 
-    p = add("mc", _run_mc, "Monte Carlo validation of the coincidence model")
+    p = add("mc", lambda cfg, a: format_mc(cfg, a.trials, a.seed, a.scale, a.workers),
+            "Monte Carlo validation of the coincidence model")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=20240901)
     p.add_argument("--scale", type=float, default=0.01,
@@ -404,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="process count; results are identical for any value")
 
-    add("omega-min", _run_omega_min, "rotation sensitivity floor vs earth rate")
+    add("omega-min", lambda cfg, a: format_omega_min(cfg), "rotation sensitivity floor vs earth rate")
     return parser
 
 

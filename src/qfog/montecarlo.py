@@ -22,9 +22,9 @@ import numpy as np
 from .model import DetectionSpec, PhasePoint, WindowMode, _require, _require_finite
 from .spurious import SpuriousCount, _minimal_branch, spurious_coincidences_per_detector
 
-# Refuse binned runs whose window count exceeds this (keep index arithmetic
-# and run time sane); scale the measurement time down instead.
-DEFAULT_MAX_WINDOWS = 1e12
+# Largest window count t_meas/jitter the uniform draw resolves; see
+# simulate_uncorrelated.
+MAX_WINDOWS = 2**46
 
 # Cap on expected arrivals per trial; above this the trial would not fit in
 # memory as an event list.
@@ -167,7 +167,7 @@ def _map_trials(fn, args_list, workers: int) -> list:
 
 
 def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McConfig,
-                          workers: int = 1, max_windows: float = DEFAULT_MAX_WINDOWS) -> McResult:
+                          workers: int = 1) -> McResult:
     """Simulate uncorrelated arrival streams and count spurious coincidences.
 
     Parameters
@@ -180,9 +180,6 @@ def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McC
         Seed, trial count and window semantics.
     workers : int
         Process count for trial execution; does not affect results.
-    max_windows : float
-        Upper bound on ``t_meas / jitter`` accepted in binned mode; raise
-        it explicitly for long-integration oracle runs.
 
     Notes
     -----
@@ -192,6 +189,15 @@ def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McC
     more groups and exceeds that prediction by an O(1) combinatorial
     factor (a factor ~2 for two detectors).  Memory scales with
     ``rate * t_meas`` per detector per in-flight trial.
+
+    In either mode the window count ``t_meas / jitter`` may not exceed
+    ``MAX_WINDOWS`` = 2**46.  Arrival fractions come from ``rng.random()``,
+    which has 2**53 levels, so every window spans at least 128 of them:
+    window indices and sliding arrival times are uniform to 1/128 per
+    window, and the relative bias of the expected count is at most
+    ``C(N,2) / (4 * 128**2)`` (1.5e-5 for two detectors).  Beyond the limit
+    the draw no longer resolves single windows; shorten the measurement
+    time instead.
     """
     rates = tuple(float(r) for r in singles_rate_per_detector)
     _require(len(rates) >= 2, "singles_rate_per_detector", "need at least two detectors")
@@ -200,10 +206,9 @@ def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McC
         _require(r >= 0.0, f"singles_rate_per_detector[{i}]", "must be >= 0")
     t_meas, tau = det.measurement_time_s, det.jitter_s
     binned = mc.window_mode is WindowMode.BINNED
-    if binned:
-        _require(t_meas / tau <= max_windows, "max_windows",
-                 f"window count {t_meas / tau:.3e} exceeds {max_windows:.1e}; "
-                 "scale the measurement time down or raise max_windows")
+    _require(t_meas / tau <= MAX_WINDOWS, "measurement_time_s",
+             f"window count {t_meas / tau:.3e} exceeds 2**46, the most the uniform "
+             "draw resolves; scale the measurement time down")
     _require(sum(rates) * t_meas <= MAX_EVENTS_PER_TRIAL, "singles_rate_per_detector",
              "expected arrivals per trial exceed the event-list budget")
 

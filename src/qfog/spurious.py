@@ -28,8 +28,9 @@ from .model import DetectionSpec, _require, _require_finite
 # bisection is accepted.
 CROSSING_RESIDUAL_RAD = 1e-9
 
-# Minimum scan density accepted by bias_zone_scan, in points per pi of range.
-MIN_RESOLUTION_PER_PI = 1000
+# Grid density of bias_zone_scan, in points per pi of range; each grid run
+# is then refined by bisection.
+SCAN_POINTS_PER_PI = 4096
 
 TWO_PI = 2.0 * math.pi
 
@@ -346,7 +347,6 @@ def _complement(intervals, lo, hi):
 
 def bias_zone_scan(pairs: float, order: int, count: SpuriousCount,
                    shot_noise_rad: float, phase_range: tuple[float, float] = (0.0, math.pi),
-                   resolution: int = 4096,
                    safe_threshold_rad: float | None = None) -> BiasZoneReport:
     """Map cusps, undefined zones, noisy zones and safe bias windows.
 
@@ -359,26 +359,23 @@ def bias_zone_scan(pairs: float, order: int, count: SpuriousCount,
         Quantum phase noise used for the above-shot-noise intervals.
     phase_range : (float, float)
         Total-phase range to scan.
-    resolution : int
-        Grid points per pi of range; at least ``MIN_RESOLUTION_PER_PI``.
     safe_threshold_rad : float, optional
         Threshold defining the safe windows; defaults to the shot noise.
         Pass a tenth of the shot noise for the stricter landscape.
 
-    The threshold crossings bounding each noisy interval are refined by
+    The range is sampled at ``SCAN_POINTS_PER_PI`` points per pi, and the
+    threshold crossings bounding each noisy interval are refined by
     bisection to a residual below ``CROSSING_RESIDUAL_RAD``.
     """
     lo, hi = phase_range
     _require(hi > lo, "phase_range", "must be an increasing (lo, hi) pair")
-    _require(resolution >= MIN_RESOLUTION_PER_PI, "resolution",
-             f"need at least {MIN_RESOLUTION_PER_PI} points per pi interval")
     _require_finite(shot_noise_rad, "shot_noise_rad")
     _require(shot_noise_rad > 0.0, "shot_noise_rad", "must be > 0")
     if safe_threshold_rad is None:
         safe_threshold_rad = shot_noise_rad
     _require(safe_threshold_rad > 0.0, "safe_threshold_rad", "must be > 0")
 
-    n_points = max(2, int(math.ceil((hi - lo) / math.pi * resolution)) + 1)
+    n_points = max(2, int(math.ceil((hi - lo) / math.pi * SCAN_POINTS_PER_PI)) + 1)
     grid = np.linspace(lo, hi, n_points)
     values, defined = phase_shift_profile(pairs, grid, order, count)
 
@@ -422,28 +419,24 @@ def bias_zone_scan(pairs: float, order: int, count: SpuriousCount,
     )
 
 
-def max_singles_flux(pairs_rate_hz: float, order: int, det: DetectionSpec,
-                     safety_margin: float = 1.0) -> float:
+def max_singles_flux(pairs_rate_hz: float, order: int, det: DetectionSpec) -> float:
     """Largest uncorrelated flux tolerable at the optimal bias points.
 
     At the optimal bias (quadrature, where the fringe slope is maximal)
     the accidental count maps to a phase shift of magnitude
-    ``asin(2*dpcc/pairs)/N``.  This solves
-    ``|dphi| = safety_margin * shot_noise`` for the total singles rate, so
-    running below the returned rate keeps the accidental-count error under
-    the (scaled) quantum noise at those bias points.  Grows as the jitter
-    shrinks.
+    ``asin(2*dpcc/pairs)/N``.  This solves ``|dphi| = shot_noise`` for the
+    total singles rate, so running below the returned rate keeps the
+    accidental-count error under the quantum noise at those bias points.
+    Grows as the jitter shrinks.
     """
     _require_finite(pairs_rate_hz, "pairs_rate_hz")
     _require(pairs_rate_hz >= 0.0, "pairs_rate_hz", "must be >= 0")
     _require(order >= 2, "order", f"must be >= 2, got {order}")
-    _require_finite(safety_margin, "safety_margin")
-    _require(safety_margin > 0.0, "safety_margin", "must be > 0")
     if pairs_rate_hz == 0.0:
         return 0.0
     t = det.measurement_time_s
     pairs = pairs_rate_hz * t
-    target_shift = safety_margin / math.sqrt(order * order * pairs)
+    target_shift = 1.0 / math.sqrt(order * order * pairs)
     # Exact inversion at quadrature; saturates at the largest reachable shift.
     target_count = 0.5 * pairs * math.sin(min(order * target_shift, 0.5 * math.pi))
     # Split into two roots so that (t/jitter)**(N-1) cannot overflow at large N.

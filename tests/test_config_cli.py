@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -266,3 +267,34 @@ def test_mc_command_deterministic(tmp_path, bench_dict, capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert "analytic prediction" in outputs[0]
+
+
+def test_mc_accepts_tenth_of_benchmark_record(capsys):
+    # 180 s of 156 ps windows: 1.15e12 windows, within the 2**46 draw limit.
+    assert main(["mc", "--config", str(BENCH_CONFIG), "--trials", "2", "--scale", "0.1"]) == 0
+    capsys.readouterr()
+
+
+# sha256 of the stdout of each report on the shipped configs; the text
+# layout of every report is pinned byte for byte.
+CLI_DIGESTS = {
+    ("silvestri2024", "budget"): "3a9e746c2b7764a6b9492514feba744bcea707574a204fb9e9307352ca730f54",
+    ("silvestri2024", "omega-min"): "00ee8720b68abbff82e3130377f5a152044711c64f93bb265c1ae074c505fe16",
+    ("silvestri2024", "zones"): "933e2b650aef48c75556adad211d7d426f53108c67d063e9d751014ff05db2a7",
+    ("silvestri2024", "zones --threshold tenth"):
+        "05fbf75f0f8c2f363c7be24403c030bb28faf149bce5ce9a78d45aaf89fb5dc5",
+    ("projected2025", "budget"): "909c3147c95bd9c710a1bbb6cd203ba6643c0e2b5b1e0702d00a3ff7f8d8ee2b",
+    ("projected2025", "omega-min"): "35592e88fced4b2cc7b2427a1fddf690ce7a5c67b51edf058ce02495b003f677",
+    ("projected2025", "zones"): "d6dfe2e8a9aab3960422b4abe36a0d4ea8bd1ba8e0d6263364f1af0cfcdbf910",
+    ("projected2025", "zones --threshold tenth"):
+        "2661ca3ca187750ae4a6c3fcc0f8284c5fa86d31bf5cfdd9992a47139206f343",
+}
+
+
+@pytest.mark.parametrize("config, command", sorted(CLI_DIGESTS))
+def test_report_text_is_pinned(config, command, capsys):
+    name, *options = command.split()
+    path = REPO / "configs" / f"{config}.json"
+    assert main([name, "--config", str(path), *options]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGESTS[config, command]

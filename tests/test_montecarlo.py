@@ -41,9 +41,9 @@ def test_zero_rates_give_zero_coincidences():
 
 
 def test_vanishing_window_kills_coincidences():
-    det = DetectionSpec(1e-18, 1.0)
-    result = simulate_uncorrelated([500.0, 500.0], det, McConfig(seed=2, trials=20),
-                                   max_windows=1e19)
+    # 1e13 windows, inside the draw-resolution limit; expectation 2.5e-8 per trial.
+    det = DetectionSpec(1e-13, 1.0)
+    result = simulate_uncorrelated([500.0, 500.0], det, McConfig(seed=2, trials=20))
     assert result.per_trial.sum() == 0.0
 
 
@@ -60,17 +60,22 @@ def test_benchmark_half_hour_oracle():
     # Direct event-stream check of the product formula at the published
     # operating point: 19 kHz per detector, 156 ps windows, 1800 s.
     det = DetectionSpec(156e-12, 1800.0)
-    result = simulate_uncorrelated([19e3, 19e3], det, McConfig(seed=5, trials=6),
-                                   max_windows=1e14)
+    result = simulate_uncorrelated([19e3, 19e3], det, McConfig(seed=5, trials=6))
     assert result.analytic_prediction == pytest.approx(101.37, rel=1e-3)
     se = math.sqrt(max(result.variance, result.analytic_prediction) / 6)
     assert abs(result.mean_coincidences - result.analytic_prediction) < 3.0 * se
 
 
-def test_window_count_guard():
-    det = DetectionSpec(156e-12, 1800.0)
-    with pytest.raises(ValueError, match="max_windows"):
-        simulate_uncorrelated([1.0, 1.0], det, McConfig(seed=1, trials=1))
+@pytest.mark.parametrize("jitter_s, t_meas_s, mode", [
+    (156e-12, 18000.0, WindowMode.BINNED),
+    (1e-18, 1.0, WindowMode.BINNED),
+    (1e-18, 1.0, WindowMode.SLIDING),
+], ids=["binned-156ps-18000s", "binned-1e-18s-1s", "sliding-1e-18s-1s"])
+def test_window_count_guard(jitter_s, t_meas_s, mode):
+    # Beyond 2**46 windows the uniform draw no longer resolves one window.
+    det = DetectionSpec(jitter_s, t_meas_s)
+    with pytest.raises(ValueError, match="window count"):
+        simulate_uncorrelated([1.0, 1.0], det, McConfig(seed=1, trials=1, window_mode=mode))
 
 
 def test_sliding_exceeds_binned_on_identical_streams():

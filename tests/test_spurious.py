@@ -331,11 +331,6 @@ def test_scan_profile_nearly_antiperiodic_by_half_cell():
     assert np.allclose(np.abs(shifted), np.abs(base), rtol=1e-3)
 
 
-def test_scan_rejects_coarse_resolution():
-    with pytest.raises(ValueError, match="resolution"):
-        bias_zone_scan(PAIRS, 2, COUNT, SHOT, resolution=100)
-
-
 def test_scan_with_overwhelming_count():
     report = bias_zone_scan(PAIRS, 2, SpuriousCount.from_count(3.0 * PAIRS, 1.0), SHOT)
     assert report.undefined_intervals == ((0.0, math.pi),)
