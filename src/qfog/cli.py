@@ -8,7 +8,7 @@ see :mod:`qfog.config`.
 
 Exit codes: 0 success (undefined results are reported, flagged and still
 count as success), 2 config parse failure, 3 config validation failure,
-4 computation or output failure.
+4 computation or output failure (including an allocation too large to make).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -299,27 +299,19 @@ def format_mc(cfg: InstrumentConfig, trials: int, seed: int, scale: float,
               workers: int = 1) -> str:
     if not 0.0 < scale <= 1.0:
         raise ValueError(f"scale: must lie in (0, 1], got {scale}")
-    b = assemble_budget(cfg)
-    order = b.noon_order
     det = cfg.detection
     scaled_det = DetectionSpec(det.jitter_s, det.measurement_time_s * scale, det.window_mode)
+    b = assemble_budget(replace(cfg, detection=scaled_det))
+    order = b.noon_order
     mc = McConfig(seed=seed, trials=trials, window_mode=det.window_mode)
 
     rates = [b.singles_rate_hz / order] * order
     coincidences = simulate_uncorrelated(rates, scaled_det, mc, workers=workers)
-
-    pairs_scaled = b.pair_rate_hz * scaled_det.measurement_time_s
-    singles_scaled = b.singles_rate_hz * scaled_det.measurement_time_s
-    spur_scaled = spurious_coincidences(singles_scaled, order, scaled_det,
-                                        cfg.source.dark_rate_hz)
     point = PhasePoint(b.sagnac_phase_rad, cfg.bias_phase_rad)
-    estimate = simulate_experiment(b.coherence_total * pairs_scaled, point, order,
-                                   b.coherence_total, spur_scaled, mc, workers=workers)
-    predicted = phase_shift_spurious(b.coherence_total * pairs_scaled, point.total_rad,
-                                     order, spur_scaled)
-    predicted_line = (_e(predicted.value_rad) if predicted.defined
+    estimate = simulate_experiment(b.effective_pairs, point, order, b.coherence_total,
+                                   b.spurious, mc, workers=workers)
+    predicted_line = (_e(b.phase_shift.value_rad) if b.phase_shift.defined
                       else "undefined (excluded bias zone)")
-    shot_scaled = shot_noise(order, noon_pairs=pairs_scaled)
 
     return _table([
         ("window mode", det.window_mode.value),
@@ -331,12 +323,12 @@ def format_mc(cfg: InstrumentConfig, trials: int, seed: int, scale: float,
         ("  variance", _e(coincidences.variance)),
         ("  analytic prediction", _e(coincidences.analytic_prediction)),
         ("  z-score", f"{coincidences.z_score:+.6f}"),
-        (f"phase-estimate run at total phase {_e(point.total_rad)} rad:", None),
+        (f"phase-estimate run at total phase {_e(b.total_phase_rad)} rad:", None),
         ("  inversion failures", f"{estimate.n_failures} of {estimate.n_trials}"),
         ("  empirical bias [rad]", _e(estimate.bias_rad)),
         ("  predicted bias [rad]", predicted_line),
         ("  empirical spread [rad]", _e(estimate.spread_rad)),
-        ("  shot-noise spread [rad]", _e(shot_scaled)),
+        ("  shot-noise spread [rad]", _e(b.shot_noise_rad)),
     ], width=34)
 
 
@@ -404,7 +396,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATE
     try:
         text = args.handler(cfg, args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     print(text)

@@ -2,16 +2,19 @@
 
 Configs are strict: every key must be known (a typo in a physics config
 should fail loudly, not silently fall back to a default) and every value
-must satisfy the invariants of the domain type it feeds.  Parse failures
-(unreadable file, bad JSON) and validation failures (bad schema or
-physics) raise distinct exception types so the CLI can report distinct
-exit codes.
+must satisfy the invariants of the domain type it feeds.  The schema is
+read from the field types of :class:`InstrumentConfig` and the dataclasses
+it nests.  Parse failures (unreadable file, bad JSON) and validation
+failures (bad schema or physics) raise distinct exception types so the
+CLI can report distinct exit codes.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 from .dispersion import DispersionSpec, SpectralSpec
@@ -52,89 +55,72 @@ class InstrumentConfig:
         _require_finite(self.rotation_rad_per_s, "rotation_rad_per_s")
 
 
-_SECTIONS = {
-    "geometry": GyroGeometry,
-    "source": SourceSpec,
-    "path": OpticalPath,
-    "detection": DetectionSpec,
-    "spectrum": SpectralSpec,
-    "dispersion": DispersionSpec,
-}
-_REQUIRED_SECTIONS = ("geometry", "source", "path", "detection", "spectrum")
-_SCALARS = ("base_coherence", "bias_phase_rad", "rotation_rad_per_s")
+TOP_LEVEL = "top level"
 
 
-def _check_number(value, where: str):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigValidationError(f"{where}: expected a number, got {value!r}")
-    return value
+@functools.cache
+def _field_types(cls) -> dict:
+    """``{name: (type, required)}`` for the fields of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls)}
 
 
-def _build_section(cls, data, section: str):
+def _build(cls, data, where: str):
+    """Build the dataclass ``cls`` from a parsed JSON object, driven by its field types.
+
+    An ``int`` field must be an integer and a ``float`` field a number
+    (never a bool; stored as float); a ``WindowMode`` field takes its string
+    value; a field of any other type is a dataclass, a nested section built
+    recursively.  Fields without a default are required.  ``where`` names
+    the object in error messages: ``TOP_LEVEL``, or a section name that
+    also prefixes its keys.
+    """
     if not isinstance(data, dict):
-        raise ConfigValidationError(f"{section}: expected an object, got {type(data).__name__}")
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(data) - allowed
+        raise ConfigValidationError(f"{where}: expected an object, got {type(data).__name__}")
+    types = _field_types(cls)
+    unknown = set(data) - set(types)
     if unknown:
-        raise ConfigValidationError(f"{section}: unknown key(s) {sorted(unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        if key == "window_mode":
-            try:
-                kwargs[key] = WindowMode(value)
-            except ValueError:
-                raise ConfigValidationError(
-                    f"{section}.window_mode: must be one of "
-                    f"{[m.value for m in WindowMode]}, got {value!r}") from None
-        elif key == "noon_order":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigValidationError(f"{section}.noon_order: expected an integer, got {value!r}")
-            kwargs[key] = value
-        else:
-            kwargs[key] = float(_check_number(value, f"{section}.{key}"))
+        raise ConfigValidationError(f"{where}: unknown key(s) {sorted(unknown)}")
+    missing = [name for name, (_, required) in types.items() if required and name not in data]
+    if missing:
+        noun = "section(s)" if all(is_dataclass(types[name][0]) for name in missing) else "key(s)"
+        raise ConfigValidationError(f"{where}: missing required {noun} {missing}")
+    nested = where != TOP_LEVEL
+    kwargs = {name: _value(types[name][0], value, f"{where}.{name}" if nested else name)
+              for name, value in data.items()}
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigValidationError(f"{section}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigValidationError(f"{where}: {exc}" if nested else str(exc)) from exc
+
+
+def _value(kind, value, key: str):
+    if kind is float or kind is int:
+        if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+            raise ConfigValidationError(
+                f"{key}: expected {'an integer' if kind is int else 'a number'}, got {value!r}")
+        try:
+            return value if kind is int else float(value)
+        except OverflowError:
+            raise ConfigValidationError(f"{key}: integer too large for a float") from None
+    if kind is WindowMode:
+        try:
+            return WindowMode(value)
+        except ValueError:
+            raise ConfigValidationError(
+                f"{key}: must be one of {[m.value for m in WindowMode]}, got {value!r}") from None
+    return _build(kind, value, key)
 
 
 def config_from_dict(data: dict) -> InstrumentConfig:
-    if not isinstance(data, dict):
-        raise ConfigValidationError(f"top level: expected an object, got {type(data).__name__}")
-    allowed = set(_SECTIONS) | set(_SCALARS)
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigValidationError(f"top level: unknown key(s) {sorted(unknown)}")
-    missing = [s for s in _REQUIRED_SECTIONS if s not in data]
-    if missing:
-        raise ConfigValidationError(f"top level: missing required section(s) {missing}")
-
-    kwargs = {}
-    for section, cls in _SECTIONS.items():
-        if section in data:
-            kwargs[section] = _build_section(cls, data[section], section)
-    for key in _SCALARS:
-        if key in data:
-            kwargs[key] = float(_check_number(data[key], key))
-    try:
-        return InstrumentConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigValidationError(str(exc)) from exc
+    return _build(InstrumentConfig, data, TOP_LEVEL)
 
 
 def config_to_dict(cfg: InstrumentConfig) -> dict:
     """Inverse of :func:`config_from_dict`; round-trips exactly."""
-    out: dict = {}
-    for section, cls in _SECTIONS.items():
-        spec = getattr(cfg, section)
-        body = {}
-        for f in fields(cls):
-            value = getattr(spec, f.name)
-            body[f.name] = value.value if isinstance(value, WindowMode) else value
-        out[section] = body
-    for key in _SCALARS:
-        out[key] = getattr(cfg, key)
-    return out
+    return asdict(cfg, dict_factory=lambda items: {
+        key: value.value if isinstance(value, WindowMode) else value for key, value in items})
 
 
 def load_config(path) -> InstrumentConfig:
@@ -144,7 +130,7 @@ def load_config(path) -> InstrumentConfig:
         raise ConfigParseError(f"{path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
         raise ConfigParseError(f"{path}: invalid JSON: {exc}") from exc
     return config_from_dict(data)
 

@@ -28,8 +28,8 @@ from .model import DetectionSpec, _require, _require_finite
 # bisection is accepted.
 CROSSING_RESIDUAL_RAD = 1e-9
 
-# Grid density of bias_zone_scan, in points per pi of range; each grid run
-# is then refined by bisection.
+# Grid density of bias_zone_scan, in points per pi of range; each grid cell
+# where |dphi| crosses the threshold is then refined by bisection.
 SCAN_POINTS_PER_PI = 4096
 
 TWO_PI = 2.0 * math.pi
@@ -246,12 +246,6 @@ def phase_shift_profile(pairs: float, phase_total_rad, order: int,
     return signed, defined
 
 
-def _abs_shift_or_inf(pairs: float, phase: float, order: int, count: SpuriousCount) -> float:
-    """|dphi| for bracketing: undefined points rank above any threshold."""
-    solution = phase_shift_spurious(pairs, phase, order, count)
-    return abs(solution.value_rad) if solution.defined else math.inf
-
-
 def _bisect_crossing(objective, lo: float, hi: float, f_lo: float,
                      residual: float = CROSSING_RESIDUAL_RAD, max_iter: int = 200) -> tuple[float, float]:
     """Bracketing bisection; returns (root, objective_at_root)."""
@@ -284,52 +278,31 @@ def _merge_intervals(intervals):
 def _hot_intervals(pairs, order, count, threshold, lo, hi, grid, values, defined, boundaries):
     """Maximal intervals where |dphi| > threshold or no solution exists.
 
-    Interval edges interior to the range are refined by bisection; edges
-    that land on an undefined-region boundary are snapped to the nearest
-    of ``boundaries``, the analytic edges.  Returns (intervals, crossing_points).
+    Each grid cell ``(grid[i], grid[i+1])`` where the hot flag flips holds
+    one interval edge, refined once by bisection from ``grid[i]``.  An edge
+    that meets the residual is a threshold crossing; any other edge is where
+    |dphi| jumps to an undefined zone, and snaps to the nearest of
+    ``boundaries``, the analytic core edges.  The range ends ``lo``/``hi``
+    bound intervals that reach them.  Returns (intervals, crossing_points).
     """
     hot = ~defined | (np.abs(np.where(defined, values, np.inf)) > threshold)
-    if not hot.any():
-        return [], []
-    # Runs of consecutive hot grid points.
-    idx = np.flatnonzero(hot)
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [idx.size - 1]))
 
     def objective(phi):
-        return _abs_shift_or_inf(pairs, phi, order, count) - threshold
+        solution = phase_shift_spurious(pairs, phi, order, count)
+        return (abs(solution.value_rad) if solution.defined else math.inf) - threshold
 
-    intervals = []
+    edges = [lo] if hot[0] else []
     crossings = []
-    for s, e in zip(starts, ends):
-        left_i, right_i = idx[s], idx[e]
-        if left_i == 0:
-            left = lo
+    for i in np.flatnonzero(hot[1:] != hot[:-1]):
+        edge, resid = _bisect_crossing(objective, grid[i], grid[i + 1], objective(grid[i]))
+        if abs(resid) < CROSSING_RESIDUAL_RAD:
+            crossings.append(edge)
         else:
-            left, resid = _bisect_crossing(objective, grid[left_i - 1], grid[left_i],
-                                           objective(grid[left_i - 1]))
-            if abs(resid) < CROSSING_RESIDUAL_RAD:
-                crossings.append(left)
-            else:
-                left = _snap_to_boundary(left, boundaries)
-        if right_i == grid.size - 1:
-            right = hi
-        else:
-            right, resid = _bisect_crossing(objective, grid[right_i], grid[right_i + 1],
-                                            objective(grid[right_i]))
-            if abs(resid) < CROSSING_RESIDUAL_RAD:
-                crossings.append(right)
-            else:
-                right = _snap_to_boundary(right, boundaries)
-        intervals.append((left, right))
-    return _merge_intervals(intervals), sorted(crossings)
-
-
-def _snap_to_boundary(phi, boundaries):
-    if not boundaries:
-        return phi
-    return min(boundaries, key=lambda b: abs(b - phi))
+            edge = min(boundaries, key=lambda b: abs(b - edge), default=edge)
+        edges.append(edge)
+    if hot[-1]:
+        edges.append(hi)
+    return _merge_intervals(zip(edges[::2], edges[1::2])), sorted(crossings)
 
 
 def _complement(intervals, lo, hi):

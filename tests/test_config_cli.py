@@ -1,9 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfog.cli import assemble_budget, main, sweep_rows
 from qfog.config import (
@@ -35,6 +40,7 @@ def test_bundled_configs_load():
     for path in (BENCH_CONFIG, PROJECTED_CONFIG):
         cfg = load_config(path)
         assert cfg.source.noon_order == 2
+        assert dump_config(cfg) == path.read_text()
 
 
 def test_config_round_trip(bench_dict):
@@ -59,6 +65,20 @@ def test_missing_section_rejected(bench_dict):
     del bench_dict["spectrum"]
     with pytest.raises(ConfigValidationError, match="spectrum"):
         config_from_dict(bench_dict)
+
+
+def test_missing_section_key_rejected(bench_dict):
+    del bench_dict["geometry"]["coil_radius_m"]
+    with pytest.raises(ConfigValidationError,
+                       match=r"geometry: missing required key\(s\) \['coil_radius_m'\]"):
+        config_from_dict(bench_dict)
+
+
+def test_integer_beyond_float_range_rejected(bench_dict):
+    bench_dict["detection"]["jitter_s"] = 10**400
+    with pytest.raises(ConfigValidationError, match="detection.jitter_s") as info:
+        config_from_dict(bench_dict)
+    assert len(str(info.value)) < 100
 
 
 def test_invalid_physics_rejected(bench_dict):
@@ -87,6 +107,10 @@ def test_parse_errors_are_distinct(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigParseError):
         load_config(bad)
+    # Longer than the interpreter's integer-string limit (4300 digits).
+    bad.write_text('{"base_coherence": 1' + "0" * 5000 + "}")
+    with pytest.raises(ConfigParseError):
+        load_config(bad)
 
 
 def test_cli_exit_codes(tmp_path, bench_dict, capsys):
@@ -97,7 +121,35 @@ def test_cli_exit_codes(tmp_path, bench_dict, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(BENCH_CONFIG), "--from", "1.0",
                  "--to", "0.0", "--points", "5", "--out", str(out)]) == 4
+    # 8 PB of grid: above any user address space, so the allocation fails at once.
+    assert main(["sweep", "--config", str(BENCH_CONFIG), "--from", "0.0",
+                 "--to", "1.0", "--points", str(10**15), "--out", str(out)]) == 4
     capsys.readouterr()
+
+
+# Values that sit at or past the edge of what some config key accepts.
+# Free integers are never drawn: noon_order sizes per-detector lists.
+EDGE_VALUES = [0, -1, 2, 40, 1000, 2.5, True, None, "x", [], 1e308, 10**400, "sliding"]
+_BENCH = json.loads(BENCH_CONFIG.read_text())
+BENCH_KEYS = [(key,) for key in _BENCH] + [
+    (section, key) for section, body in _BENCH.items() if isinstance(body, dict) for key in body]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.lists(st.tuples(st.sampled_from(BENCH_KEYS), st.sampled_from(EDGE_VALUES)),
+                min_size=1, max_size=3))
+def test_cli_exits_cleanly_on_edge_values(edits):
+    data = json.loads(BENCH_CONFIG.read_text())
+    for path, value in edits:
+        target = data if len(path) == 1 else data[path[0]]
+        if isinstance(target, dict):
+            target[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(data))
+        for command in ("budget", "omega-min", "zones"):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert main([command, "--config", str(path)]) in (0, 2, 3, 4)
 
 
 def _budget_value(text: str, label: str) -> str:

@@ -318,6 +318,16 @@ def test_scan_tenth_threshold_shrinks_safe_windows(benchmark_scan):
         assert any(lo < point < hi for lo, hi in strict.safe_windows)
 
 
+def test_scan_threshold_above_cusp_peak_leaves_only_undefined_zones():
+    # No bias point reaches the threshold, so every hot edge borders an
+    # undefined zone and snaps to its analytic edge.
+    threshold = 1.5 * undefined_half_width(PAIRS, 2, COUNT)
+    report = bias_zone_scan(PAIRS, 2, COUNT, threshold, phase_range=(-0.5, math.pi + 0.5))
+    assert report.crossings_rad == ()
+    assert len(report.undefined_intervals) == 2
+    assert report.above_shot_noise_intervals == report.undefined_intervals
+
+
 def test_scan_profile_nearly_antiperiodic_by_half_cell():
     # Translating the bias by pi/N flips the sign of the minimal solution;
     # the magnitudes agree to first order in the accidental fraction.
