@@ -11,6 +11,7 @@ Runs at a scaled-down measurement time so it finishes in seconds.
 """
 
 import math
+from dataclasses import replace
 
 from qfog import (
     DetectionSpec,
@@ -19,6 +20,7 @@ from qfog import (
     SpuriousCount,
     WindowMode,
     phase_shift_spurious,
+    shot_noise,
     simulate_experiment,
     simulate_uncorrelated,
 )
@@ -35,9 +37,8 @@ print(f"  simulated mean:      {result.mean_coincidences:.3f} "
 print(f"  z-score:             {result.z_score:+.2f}")
 print()
 
-sliding = simulate_uncorrelated([per_detector, per_detector], det,
-                                McConfig(seed=20240901, trials=200,
-                                         window_mode=WindowMode.SLIDING))
+sliding = simulate_uncorrelated([per_detector, per_detector],
+                                replace(det, window_mode=WindowMode.SLIDING), mc)
 print(f"sliding windows count more groups: mean {sliding.mean_coincidences:.3f} "
       f"(~2x the binned prediction for two detectors)")
 print()
@@ -55,5 +56,5 @@ print(f"  empirical bias:  {experiment.bias_rad:+.3e} rad "
       f"(se {experiment.spread_rad / math.sqrt(2000):.1e})")
 print(f"  predicted shift: {predicted.value_rad:+.3e} rad")
 print(f"  empirical spread {experiment.spread_rad:.3e} rad vs shot noise "
-      f"{1 / math.sqrt(2 * 2 * pairs):.3e} rad")
+      f"{shot_noise(2, noon_pairs=pairs):.3e} rad")
 print(f"  failed inversions: {experiment.n_failures} of {experiment.n_trials}")

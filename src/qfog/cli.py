@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import ConfigParseError, ConfigValidationError, InstrumentConfig, load_config
 from .dispersion import chromatic_delay, coherence_factor, coherence_time, pmd_delay, pump_drift_phase_error
-from .model import EARTH_RATE_RAD_PER_S, DetectionSpec, PhasePoint
+from .model import EARTH_RATE_RAD_PER_S, PhasePoint, _require_memory
 from .montecarlo import McConfig, simulate_experiment, simulate_uncorrelated
 from .propagation import (
     PhotonPopulations,
@@ -58,6 +58,10 @@ REFERENCE_CROSSING_MRAD = 14.0
 SWEEP_COLUMNS = ("phase_total_rad", "abs_dphi_p_rad", "defined_flag",
                  "shot_noise_rad", "shot_noise_tenth_rad", "dphi_p0_rad")
 
+# Peak memory per sweep row: the grid, the profile and the CSV text
+# (77 bytes of it) measured 316-322 bytes per row, rounded up.
+SWEEP_BYTES_PER_ROW = 330
+
 
 @dataclass(frozen=True)
 class NoiseBudget:
@@ -70,7 +74,6 @@ class NoiseBudget:
     pair_rate_hz: float
     singles_rate_hz: float
     noon_pairs: float
-    singles_count: float
     spurious: SpuriousCount
     dark_free_count: float
     dark_only_count: float
@@ -141,7 +144,6 @@ def assemble_budget(cfg: InstrumentConfig) -> NoiseBudget:
         pair_rate_hz=src.pair_rate_hz,
         singles_rate_hz=singles_rate,
         noon_pairs=noon_pairs,
-        singles_count=singles_count,
         spurious=spurious,
         dark_free_count=dark_free.delta_pcc,
         dark_only_count=dark_only.delta_pcc,
@@ -232,10 +234,13 @@ def sweep_rows(cfg: InstrumentConfig, from_rad: float, to_rad: float, points: in
 
     Columns are fixed (see ``SWEEP_COLUMNS``); undefined grid points carry
     an empty error field and a 0 flag.  Output is locale-independent and
-    bit-stable across runs.
+    bit-stable across runs.  ``points`` is bounded by the physical memory
+    at ``SWEEP_BYTES_PER_ROW`` per row (about 2.6e7 rows per 8 GiB), and a
+    larger count is refused before anything is allocated.
     """
     if points < 2:
         raise ValueError(f"points: need at least 2, got {points}")
+    _require_memory(points * SWEEP_BYTES_PER_ROW, "points", f"{points} sweep rows")
     if not to_rad > from_rad:
         raise ValueError("sweep range: --from must be strictly below --to")
     b = assemble_budget(cfg)
@@ -300,15 +305,15 @@ def format_mc(cfg: InstrumentConfig, trials: int, seed: int, scale: float,
     if not 0.0 < scale <= 1.0:
         raise ValueError(f"scale: must lie in (0, 1], got {scale}")
     det = cfg.detection
-    scaled_det = DetectionSpec(det.jitter_s, det.measurement_time_s * scale, det.window_mode)
+    scaled_det = replace(det, measurement_time_s=det.measurement_time_s * scale)
     b = assemble_budget(replace(cfg, detection=scaled_det))
     order = b.noon_order
-    mc = McConfig(seed=seed, trials=trials, window_mode=det.window_mode)
+    mc = McConfig(seed=seed, trials=trials)
 
     rates = [b.singles_rate_hz / order] * order
     coincidences = simulate_uncorrelated(rates, scaled_det, mc, workers=workers)
     point = PhasePoint(b.sagnac_phase_rad, cfg.bias_phase_rad)
-    estimate = simulate_experiment(b.effective_pairs, point, order, b.coherence_total,
+    estimate = simulate_experiment(b.noon_pairs, point, order, b.coherence_total,
                                    b.spurious, mc, workers=workers)
     predicted_line = (_e(b.phase_shift.value_rad) if b.phase_shift.defined
                       else "undefined (excluded bias zone)")

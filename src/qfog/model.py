@@ -14,6 +14,7 @@ safe to share between threads or processes.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,6 +27,19 @@ EARTH_RATE_RAD_PER_S = 7.29e-5
 def _require(condition: bool, field: str, message: str) -> None:
     if not condition:
         raise ValueError(f"{field}: {message}")
+
+
+def _require_memory(nbytes: float, field: str, what: str) -> None:
+    """Refuse a run whose estimated peak memory exceeds the physical memory.
+
+    Physical memory is ``SC_PAGE_SIZE * SC_PHYS_PAGES``.  Limits set by a
+    cgroup, a container or ``ulimit`` are out of scope: under such a limit
+    a run this check accepts can still fail to allocate.
+    """
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    _require(nbytes <= physical, field,
+             f"{what} would need about {nbytes / 2**30:.3g} GiB of memory, more than "
+             f"the {physical / 2**30:.3g} GiB of physical memory")
 
 
 def _require_finite(value: float, field: str) -> None:

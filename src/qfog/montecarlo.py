@@ -19,33 +19,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DetectionSpec, PhasePoint, WindowMode, _require, _require_finite
+from .model import DetectionSpec, PhasePoint, WindowMode, _require, _require_finite, _require_memory
+from .sagnac import coincidence_probability
 from .spurious import SpuriousCount, _minimal_branch, spurious_coincidences_per_detector
 
 # Largest window count t_meas/jitter the uniform draw resolves; see
 # simulate_uncorrelated.
 MAX_WINDOWS = 2**46
 
-# Cap on expected arrivals per trial; above this the trial would not fit in
-# memory as an event list.
-MAX_EVENTS_PER_TRIAL = 5e8
+# Peak memory per arrival of one in-flight trial: the measured growth of
+# peak RSS is 32-34 bytes per event in either window mode, rounded up.
+BYTES_PER_EVENT = 40
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """Trial count, seed and window semantics for a simulation run."""
+    """Trial count and seed.  The detection spec decides the window mode;
+    ``window_mode``, if given, only asserts that mode and is due to be deleted."""
 
     seed: int
     trials: int
-    window_mode: WindowMode = WindowMode.BINNED
+    window_mode: WindowMode | None = None
 
     def __post_init__(self) -> None:
         _require(isinstance(self.seed, int) and not isinstance(self.seed, bool),
                  "seed", f"must be an integer, got {self.seed!r}")
         _require(isinstance(self.trials, int) and self.trials >= 1,
                  "trials", f"must be a positive integer, got {self.trials!r}")
-        _require(isinstance(self.window_mode, WindowMode), "window_mode",
-                 f"must be a WindowMode, got {self.window_mode!r}")
+        _require(self.window_mode is None or isinstance(self.window_mode, WindowMode),
+                 "window_mode", f"must be a WindowMode or None, got {self.window_mode!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,8 +138,6 @@ def _sliding_count(fractions: list[np.ndarray], t_meas: float, tau: float) -> fl
     times = [np.sort(u) * t_meas for u in fractions]
     total = 0.0
     for d, anchors in enumerate(times):
-        if anchors.size == 0:
-            return 0.0
         group_products = np.ones(anchors.size)
         for d2, other in enumerate(times):
             if d2 == d:
@@ -175,11 +175,12 @@ def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McC
     singles_rate_per_detector : sequence of float
         One Poisson rate (Hz) per detector; at least two detectors.
     det : DetectionSpec
-        Jitter window and measurement time.
+        Jitter window, measurement time and window mode (binned or sliding).
     mc : McConfig
-        Seed, trial count and window semantics.
+        Seed and trial count; a ``window_mode`` given there must equal the spec's.
     workers : int
-        Process count for trial execution; does not affect results.
+        Process count for trial execution; does not affect results, but
+        each extra worker holds one more trial in memory.
 
     Notes
     -----
@@ -187,8 +188,11 @@ def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McC
     windows.  In binned mode the mean converges to the analytic product
     formula (the prediction stored on the result); sliding mode counts
     more groups and exceeds that prediction by an O(1) combinatorial
-    factor (a factor ~2 for two detectors).  Memory scales with
-    ``rate * t_meas`` per detector per in-flight trial.
+    factor (a factor ~2 for two detectors).
+
+    Memory is ``BYTES_PER_EVENT`` times the expected arrivals per trial,
+    ``sum(rate) * t_meas``, times the trials in flight, ``min(workers,
+    trials)``; a run above the physical memory is refused before any draw.
 
     In either mode the window count ``t_meas / jitter`` may not exceed
     ``MAX_WINDOWS`` = 2**46.  Arrival fractions come from ``rng.random()``,
@@ -205,12 +209,15 @@ def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McC
         _require_finite(r, f"singles_rate_per_detector[{i}]")
         _require(r >= 0.0, f"singles_rate_per_detector[{i}]", "must be >= 0")
     t_meas, tau = det.measurement_time_s, det.jitter_s
-    binned = mc.window_mode is WindowMode.BINNED
+    if mc.window_mode not in (None, det.window_mode):
+        raise ValueError(f"window_mode: McConfig {mc.window_mode.value!r} != spec {det.window_mode.value!r}")
+    binned = det.window_mode is WindowMode.BINNED
     _require(t_meas / tau <= MAX_WINDOWS, "measurement_time_s",
              f"window count {t_meas / tau:.3e} exceeds 2**46, the most the uniform "
              "draw resolves; scale the measurement time down")
-    _require(sum(rates) * t_meas <= MAX_EVENTS_PER_TRIAL, "singles_rate_per_detector",
-             "expected arrivals per trial exceed the event-list budget")
+    events, in_flight = sum(rates) * t_meas, max(1, min(workers, mc.trials))
+    _require_memory(events * BYTES_PER_EVENT * in_flight, "singles_rate_per_detector",
+                    f"{in_flight} trial(s) in flight of {events:.3e} expected arrivals each")
 
     args = [(mc.seed, i, rates, t_meas, tau, binned) for i in range(mc.trials)]
     counts = np.array(_map_trials(_uncorrelated_trial, args, workers))
@@ -235,8 +242,11 @@ def simulate_experiment(pairs: float, phase: PhasePoint, order: int, coherence: 
     and inverted through the ideal fringe model, deliberately ignoring the
     accidental contribution.  Away from the cusps the resulting bias
     matches the analytic phase-shift inversion and the spread matches the
-    quantum shot noise.  Trials whose count falls outside the fringe model
-    produce no estimate and are tallied as failures.
+    quantum shot noise.  ``pairs`` is the instrument's pair count, not a
+    coherence-scaled one: the visibility ``C`` enters once, through
+    ``coherence``, in the fringe and in its inversion.  Trials whose count
+    falls outside the fringe model produce no estimate and are tallied as
+    failures.
     """
     _require_finite(pairs, "pairs")
     _require(pairs > 0.0, "pairs", "must be > 0")
@@ -249,7 +259,7 @@ def simulate_experiment(pairs: float, phase: PhasePoint, order: int, coherence: 
 
     true_total = phase.total_rad
     true_scaled = order * true_total
-    prob = min(1.0, max(0.0, 0.5 * (1.0 + coherence * math.cos(true_scaled))))
+    prob = coincidence_probability(1.0, phase, order, coherence)
     args = [(mc.seed, i, m, prob, count.delta_pcc) for i in range(mc.trials)]
     observed = np.array(_map_trials(_experiment_trial, args, workers), dtype=float)
     # Invert each count through the ideal fringe, on the branch nearest the truth.

@@ -94,9 +94,9 @@ def propagate_along_fiber(initial: PhotonPopulations, path: OpticalPath,
     _require(samples >= 2, "samples", f"need at least 2 samples, got {samples}")
     _require_finite(length_m, "length_m")
     _require(length_m >= 0.0, "length_m", "must be >= 0")
+    fiber_only = OpticalPath(path.fiber_loss_db_per_km)
     profile = []
     for i in range(samples):
         z = length_m * i / (samples - 1)
-        t = 10.0 ** (-path.fiber_loss_db_per_km * (z / 1000.0) / 10.0)
-        profile.append((z, propagate_populations(initial, t)))
+        profile.append((z, propagate_populations(initial, fiber_transmission(fiber_only, z))))
     return profile

@@ -73,7 +73,4 @@ def omega_min(geom: GyroGeometry, order: int, total_photons: float | None = None
     order-of-magnitude floor on resolvable rotation for a given photon
     budget.  Quadrupling the photon number halves the result.
     """
-    dphi = shot_noise(order, total_photons, noon_pairs=noon_pairs)
-    scale = (4.0 * math.pi * geom.fiber_length_m * geom.coil_radius_m
-             / (geom.wavelength_m * SPEED_OF_LIGHT_M_PER_S))
-    return dphi / scale
+    return shot_noise(order, total_photons, noon_pairs=noon_pairs) / sagnac_phase(1.0, geom)

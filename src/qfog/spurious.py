@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DetectionSpec, _require, _require_finite
+from .sagnac import shot_noise
 
 # Residual (in phase-shift radians) below which a threshold crossing from
 # bisection is accepted.
@@ -409,7 +410,7 @@ def max_singles_flux(pairs_rate_hz: float, order: int, det: DetectionSpec) -> fl
         return 0.0
     t = det.measurement_time_s
     pairs = pairs_rate_hz * t
-    target_shift = 1.0 / math.sqrt(order * order * pairs)
+    target_shift = shot_noise(order, noon_pairs=pairs)
     # Exact inversion at quadrature; saturates at the largest reachable shift.
     target_count = 0.5 * pairs * math.sin(min(order * target_shift, 0.5 * math.pi))
     # Split into two roots so that (t/jitter)**(N-1) cannot overflow at large N.

@@ -121,10 +121,33 @@ def test_cli_exit_codes(tmp_path, bench_dict, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(BENCH_CONFIG), "--from", "1.0",
                  "--to", "0.0", "--points", "5", "--out", str(out)]) == 4
-    # 8 PB of grid: above any user address space, so the allocation fails at once.
+    # 10**15 rows: refused by the memory bound before anything is allocated.
     assert main(["sweep", "--config", str(BENCH_CONFIG), "--from", "0.0",
                  "--to", "1.0", "--points", str(10**15), "--out", str(out)]) == 4
-    capsys.readouterr()
+    assert "points" in capsys.readouterr().err
+
+
+SWEEP_ARGS = ["--from", "0.0", "--to", "1.0", "--points", "5"]
+
+
+@pytest.mark.parametrize("command", ["budget", "zones", "omega-min", "sweep", "mc"])
+def test_zero_pair_rate_exits_4(command, tmp_path, bench_dict, capsys):
+    bench_dict["source"]["pair_rate_hz"] = 0
+    extra = SWEEP_ARGS + ["--out", str(tmp_path / "s.csv")] if command == "sweep" else []
+    assert main([command, "--config", _write(tmp_path, bench_dict), *extra]) == 4
+    assert "pair_rate_hz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, named", [
+    (["sweep", "--from", "0.0", "--to", "1.0", "--points", "1", "--out", "s.csv"], "points"),
+    (["sweep", *SWEEP_ARGS, "--out", "."], "cannot write sweep CSV"),
+    (["mc", "--scale", "0"], "scale"),
+    (["mc", "--scale", "1.5"], "scale"),
+], ids=["sweep-one-point", "sweep-out-is-directory", "mc-scale-zero", "mc-scale-above-one"])
+def test_bad_command_arguments_exit_4(args, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([args[0], "--config", str(BENCH_CONFIG), *args[1:]]) == 4
+    assert named in capsys.readouterr().err
 
 
 # Values that sit at or past the edge of what some config key accepts.
@@ -325,6 +348,18 @@ def test_mc_accepts_tenth_of_benchmark_record(capsys):
     # 180 s of 156 ps windows: 1.15e12 windows, within the 2**46 draw limit.
     assert main(["mc", "--config", str(BENCH_CONFIG), "--trials", "2", "--scale", "0.1"]) == 0
     capsys.readouterr()
+
+
+def test_mc_experiment_applies_coherence_once(tmp_path, bench_dict, capsys):
+    # Visibility C scales the fringe slope once, so the estimate spreads
+    # as shot noise / C (4x here), not shot noise / C**1.5 (8x).
+    bench_dict["base_coherence"] = 0.25
+    assert main(["mc", "--config", _write(tmp_path, bench_dict), "--trials", "400",
+                 "--seed", "1", "--scale", "0.001"]) == 0
+    out = capsys.readouterr().out
+    spread = float(_budget_value(out, "  empirical spread [rad]"))
+    shot = float(_budget_value(out, "  shot-noise spread [rad]"))
+    assert 3.5 <= spread / shot <= 4.5
 
 
 # sha256 of the stdout of each report on the shipped configs; the text

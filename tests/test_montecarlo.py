@@ -6,6 +6,7 @@ import pytest
 from qfog import (
     DetectionSpec,
     McConfig,
+    McResult,
     PhasePoint,
     SpuriousCount,
     WindowMode,
@@ -33,11 +34,13 @@ def test_rng_streams_look_independent():
 
 
 def test_zero_rates_give_zero_coincidences():
-    det = DetectionSpec(1e-9, 1.0)
-    result = simulate_uncorrelated([0.0, 0.0], det, McConfig(seed=1, trials=20))
-    assert result.per_trial.sum() == 0.0
-    assert result.analytic_prediction == 0.0
-    assert result.z_score == 0.0
+    # Both detectors silent, then one: empty streams count zero in either mode.
+    for mode in WindowMode:
+        for rates in ([0.0, 0.0], [0.0, 2000.0]):
+            result = simulate_uncorrelated(rates, DetectionSpec(1e-9, 1.0, mode), McConfig(seed=1, trials=20))
+            assert np.all(result.per_trial == 0.0), (mode, rates)
+            assert result.analytic_prediction == 0.0
+            assert result.z_score == 0.0
 
 
 def test_vanishing_window_kills_coincidences():
@@ -73,21 +76,41 @@ def test_benchmark_half_hour_oracle():
 ], ids=["binned-156ps-18000s", "binned-1e-18s-1s", "sliding-1e-18s-1s"])
 def test_window_count_guard(jitter_s, t_meas_s, mode):
     # Beyond 2**46 windows the uniform draw no longer resolves one window.
-    det = DetectionSpec(jitter_s, t_meas_s)
+    det = DetectionSpec(jitter_s, t_meas_s, mode)
     with pytest.raises(ValueError, match="window count"):
-        simulate_uncorrelated([1.0, 1.0], det, McConfig(seed=1, trials=1, window_mode=mode))
+        simulate_uncorrelated([1.0, 1.0], det, McConfig(seed=1, trials=1))
+
+
+def test_memory_guard_refuses_before_drawing():
+    # 2e13 arrivals per trial: petabytes as an event list, refused up front.
+    det = DetectionSpec(1e-3, 10.0)
+    with pytest.raises(ValueError, match="memory"):
+        simulate_uncorrelated([1e12, 1e12], det, McConfig(seed=1, trials=1))
 
 
 def test_sliding_exceeds_binned_on_identical_streams():
-    det = DetectionSpec(1e-6, 10.0)
-    binned = simulate_uncorrelated([2000.0, 2000.0], det,
-                                   McConfig(seed=7, trials=40, window_mode=WindowMode.BINNED))
-    sliding = simulate_uncorrelated([2000.0, 2000.0], det,
-                                    McConfig(seed=7, trials=40, window_mode=WindowMode.SLIDING))
+    # One default McConfig for both runs: the detection spec alone picks the mode.
+    mc = McConfig(seed=7, trials=40)
+    binned = simulate_uncorrelated([2000.0, 2000.0], DetectionSpec(1e-6, 10.0, WindowMode.BINNED), mc)
+    sliding = simulate_uncorrelated([2000.0, 2000.0], DetectionSpec(1e-6, 10.0, WindowMode.SLIDING), mc)
     assert np.all(sliding.per_trial >= binned.per_trial)
     # Two detectors: the sliding window roughly doubles the count.
     ratio = sliding.mean_coincidences / binned.mean_coincidences
     assert 1.7 < ratio < 2.3
+
+
+def test_disagreeing_mc_window_mode_rejected():
+    det = DetectionSpec(1e-6, 10.0, WindowMode.SLIDING)
+    with pytest.raises(ValueError, match="window_mode.*'binned'.*'sliding'"):
+        simulate_uncorrelated([1.0, 1.0], det, McConfig(seed=1, trials=1, window_mode=WindowMode.BINNED))
+    agreeing = McConfig(seed=1, trials=1, window_mode=WindowMode.SLIDING)
+    assert simulate_uncorrelated([1.0, 1.0], det, agreeing).per_trial.size == 1
+
+
+@pytest.mark.parametrize("counts, z", [([0, 0], 0.0), ([1, 1], math.inf), ([1, 0], 1.0)])
+def test_from_counts_with_zero_prediction(counts, z):
+    # Equal counts fall back to the zero Poisson variance of the prediction.
+    assert McResult.from_counts(np.array(counts), 0.0).z_score == z
 
 
 def test_three_detector_rate_scaling():
