@@ -40,7 +40,7 @@ print()
 sliding = simulate_uncorrelated([per_detector, per_detector],
                                 replace(det, window_mode=WindowMode.SLIDING), mc)
 print(f"sliding windows count more groups: mean {sliding.mean_coincidences:.3f} "
-      f"(~2x the binned prediction for two detectors)")
+      f"vs prediction {sliding.analytic_prediction:.3f} (N x the binned one)")
 print()
 
 # Full loop at quadrature bias: the naive fringe inversion inherits a bias

@@ -313,8 +313,7 @@ def format_mc(cfg: InstrumentConfig, trials: int, seed: int, scale: float,
     rates = [b.singles_rate_hz / order] * order
     coincidences = simulate_uncorrelated(rates, scaled_det, mc, workers=workers)
     point = PhasePoint(b.sagnac_phase_rad, cfg.bias_phase_rad)
-    estimate = simulate_experiment(b.noon_pairs, point, order, b.coherence_total,
-                                   b.spurious, mc, workers=workers)
+    estimate = simulate_experiment(b.noon_pairs, point, order, b.coherence_total, b.spurious, mc)
     predicted_line = (_e(b.phase_shift.value_rad) if b.phase_shift.defined
                       else "undefined (excluded bias zone)")
 
@@ -383,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=0.01,
                    help="measurement-time scale factor to bound runtime")
     p.add_argument("--workers", type=int, default=1,
-                   help="process count; results are identical for any value")
+                   help="process count of the uncorrelated run; results are identical for any value")
 
     add("omega-min", lambda cfg, a: format_omega_min(cfg), "rotation sensitivity floor vs earth rate")
     return parser

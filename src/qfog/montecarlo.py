@@ -5,10 +5,12 @@ N-fold coincidences the way real counting electronics would, providing an
 independent empirical check of the analytic accidental-count formula and
 of the phase bias it induces.
 
-Determinism contract: every trial draws from a generator derived only from
-``(seed, trial_index)``, so results are bit-identical for a given seed no
-matter how trials are distributed over workers.  Aggregation uses only
-order-insensitive reductions.
+Determinism contract: every draw depends only on ``(seed, trial_index)``,
+so results are bit-identical for a given seed no matter how trials are
+distributed over workers.  An event-stream trial i draws from
+``rng_stream(seed, i)``; experiment trial i is entry ``i % B`` of block
+``i // B``, drawn from ``rng_stream(seed, i // B)``, B = ``EXPERIMENT_BLOCK``.
+Aggregation uses only order-insensitive reductions.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -30,6 +33,9 @@ MAX_WINDOWS = 2**46
 # Peak memory per arrival of one in-flight trial: the measured growth of
 # peak RSS is 32-34 bytes per event in either window mode, rounded up.
 BYTES_PER_EVENT = 40
+
+# Experiment trials per generator: building one costs far more than a trial's draws.
+EXPERIMENT_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -101,7 +107,7 @@ class PhaseEstimateResult:
 
 
 def rng_stream(seed: int, trial_index: int) -> np.random.Generator:
-    """Deterministic per-trial generator derived from (seed, trial_index).
+    """Deterministic generator of one trial, or one experiment block, from (seed, trial_index).
 
     Streams for different indices are statistically independent, and the
     same pair always yields the same stream, so any partition of trials
@@ -149,21 +155,12 @@ def _sliding_count(fractions: list[np.ndarray], t_meas: float, tau: float) -> fl
     return total
 
 
-def _uncorrelated_trial(args) -> float:
-    seed, index, rates, t_meas, tau, binned = args
+def _uncorrelated_trial(seed, rates, t_meas, tau, binned, index) -> float:
     rng = rng_stream(seed, index)
     fractions = [rng.random(rng.poisson(r * t_meas)) for r in rates]
     if binned:
         return _binned_count(fractions, t_meas / tau)
     return _sliding_count(fractions, t_meas, tau)
-
-
-def _map_trials(fn, args_list, workers: int) -> list:
-    if workers <= 1:
-        return [fn(a) for a in args_list]
-    chunk = max(1, len(args_list) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args_list, chunksize=chunk))
 
 
 def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McConfig,
@@ -179,20 +176,21 @@ def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McC
     mc : McConfig
         Seed and trial count; a ``window_mode`` given there must equal the spec's.
     workers : int
-        Process count for trial execution; does not affect results, but
-        each extra worker holds one more trial in memory.
+        Process count for trial execution, capped at ``trials``; does not
+        affect results, but each extra process holds one more trial in memory.
 
     Notes
     -----
     Arrivals are generated as sparse event streams, never as materialized
-    windows.  In binned mode the mean converges to the analytic product
-    formula (the prediction stored on the result); sliding mode counts
-    more groups and exceeds that prediction by an O(1) combinatorial
-    factor (a factor ~2 for two detectors).
+    windows.  The stored prediction is each mode's mean for mean counts m_j:
+    binned, ``m_1 * prod_{j>=2} (m_j * tau / T)``; sliding, which anchors
+    each group at its earliest arrival, ``sum_d m_d * prod_{j!=d} (m_j *
+    tau / T)``, N times the binned mean, less an O(tau / T) edge term.
 
     Memory is ``BYTES_PER_EVENT`` times the expected arrivals per trial,
     ``sum(rate) * t_meas``, times the trials in flight, ``min(workers,
-    trials)``; a run above the physical memory is refused before any draw.
+    trials)``, which is also the pool's process count (a pool starts them
+    all at once); a run above the physical memory is refused before any draw.
 
     In either mode the window count ``t_meas / jitter`` may not exceed
     ``MAX_WINDOWS`` = 2**46.  Arrival fractions come from ``rng.random()``,
@@ -219,17 +217,14 @@ def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McC
     _require_memory(events * BYTES_PER_EVENT * in_flight, "singles_rate_per_detector",
                     f"{in_flight} trial(s) in flight of {events:.3e} expected arrivals each")
 
-    args = [(mc.seed, i, rates, t_meas, tau, binned) for i in range(mc.trials)]
-    counts = np.array(_map_trials(_uncorrelated_trial, args, workers))
-    prediction = spurious_coincidences_per_detector([r * t_meas for r in rates], det).delta_pcc
-    return McResult.from_counts(counts, prediction)
-
-
-def _experiment_trial(args) -> int:
-    """Observed coincidence count of one trial."""
-    seed, index, m, prob, lam = args
-    rng = rng_stream(seed, index)
-    return rng.binomial(m, prob) + (rng.poisson(lam) if lam > 0.0 else 0)
+    trial = partial(_uncorrelated_trial, mc.seed, rates, t_meas, tau, binned)
+    if in_flight == 1:
+        counts = [trial(i) for i in range(mc.trials)]
+    else:
+        with ProcessPoolExecutor(max_workers=in_flight) as pool:
+            counts = list(pool.map(trial, range(mc.trials), chunksize=max(1, mc.trials // (4 * in_flight))))
+    binned_prediction = spurious_coincidences_per_detector([r * t_meas for r in rates], det).delta_pcc
+    return McResult.from_counts(np.array(counts), binned_prediction * (1 if binned else len(rates)))
 
 
 def simulate_experiment(pairs: float, phase: PhasePoint, order: int, coherence: float,
@@ -246,7 +241,9 @@ def simulate_experiment(pairs: float, phase: PhasePoint, order: int, coherence: 
     coherence-scaled one: the visibility ``C`` enters once, through
     ``coherence``, in the fringe and in its inversion.  Trials whose count
     falls outside the fringe model produce no estimate and are tallied as
-    failures.
+    failures.  Each block of trials draws all its binomials, then all its
+    Poissons (see the determinism contract).  ``workers`` is ignored, kept
+    only because the benchmark's ``qbench/workloads.py`` still passes it.
     """
     _require_finite(pairs, "pairs")
     _require(pairs > 0.0, "pairs", "must be > 0")
@@ -260,10 +257,11 @@ def simulate_experiment(pairs: float, phase: PhasePoint, order: int, coherence: 
     true_total = phase.total_rad
     true_scaled = order * true_total
     prob = coincidence_probability(1.0, phase, order, coherence)
-    args = [(mc.seed, i, m, prob, count.delta_pcc) for i in range(mc.trials)]
-    observed = np.array(_map_trials(_experiment_trial, args, workers), dtype=float)
-    # Invert each count through the ideal fringe, on the branch nearest the truth.
-    arg = (2.0 * observed / m - 1.0) / coherence
+    n = EXPERIMENT_BLOCK
+    blocks = (rng_stream(mc.seed, b) for b in range(-(-mc.trials // n)))
+    observed = np.concatenate([r.binomial(m, prob, n) + r.poisson(count.delta_pcc, n) for r in blocks])
+    # Invert each count (last block cut to length) on the fringe branch nearest the truth.
+    arg = (2.0 * observed[:mc.trials] / m - 1.0) / coherence
     shift, _ = _minimal_branch(np.arccos(np.clip(arg, -1.0, 1.0)), true_scaled)
     estimates = np.where(np.abs(arg) <= 1.0, (true_scaled + shift) / order, np.nan)
 

@@ -26,8 +26,9 @@ from .model import DetectionSpec, _require, _require_finite
 from .sagnac import shot_noise
 
 # Residual (in phase-shift radians) below which a threshold crossing from
-# bisection is accepted.
+# bisection is accepted, and the most halvings bisection takes to reach it.
 CROSSING_RESIDUAL_RAD = 1e-9
+BISECT_MAX_ITER = 200
 
 # Grid density of bias_zone_scan, in points per pi of range; each grid cell
 # where |dphi| crosses the threshold is then refined by bisection.
@@ -247,14 +248,13 @@ def phase_shift_profile(pairs: float, phase_total_rad, order: int,
     return signed, defined
 
 
-def _bisect_crossing(objective, lo: float, hi: float, f_lo: float,
-                     residual: float = CROSSING_RESIDUAL_RAD, max_iter: int = 200) -> tuple[float, float]:
+def _bisect_crossing(objective, lo: float, hi: float, f_lo: float) -> tuple[float, float]:
     """Bracketing bisection; returns (root, objective_at_root)."""
     sign_lo = f_lo > 0.0
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         f_mid = objective(mid)
-        if math.isfinite(f_mid) and abs(f_mid) < residual:
+        if math.isfinite(f_mid) and abs(f_mid) < CROSSING_RESIDUAL_RAD:
             return mid, f_mid
         if (f_mid > 0.0) == sign_lo:
             lo = mid

@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from qfog import (
     DetectionSpec,
@@ -21,6 +22,7 @@ from qfog import (
     PhotonPopulations,
     SpectralSpec,
     SpuriousCount,
+    WindowMode,
     bias_zone_scan,
     chromatic_delay,
     coherence_factor,
@@ -192,6 +194,17 @@ def test_criterion_10_monte_carlo_validates_count_model():
                     f"{base.analytic_prediction:.3f} (z={base.z_score:+.2f}); "
                     f"jitter doubling gap {doubling_gap:.3f} < 3sigma={3 * se_diff:.3f}; "
                     f"runtime {elapsed:.1f}s < 300s")
+
+
+@pytest.mark.parametrize("detectors", [2, 3])
+def test_sliding_prediction_matches_event_streams(detectors):
+    # Beside criterion 10: sliding windows anchor each group at its earliest
+    # arrival, so the mean is N times the binned product (edge term 4e-6).
+    det = DetectionSpec(jitter_s=4e-6, measurement_time_s=1.0, window_mode=WindowMode.SLIDING)
+    result = simulate_uncorrelated([1e4] * detectors, det, McConfig(seed=20240901, trials=200))
+    binned = 1e4 * (1e4 * 4e-6) ** (detectors - 1)
+    assert result.analytic_prediction == pytest.approx(detectors * binned, rel=1e-12)
+    assert abs(result.z_score) < 3.0, (result.mean_coincidences, result.analytic_prediction, result.z_score)
 
 
 def test_criterion_11_dispersion_and_drift():

@@ -17,6 +17,8 @@ from qfog import (
     simulate_uncorrelated,
     spurious_coincidences_per_detector,
 )
+from qfog import montecarlo
+from qfog.montecarlo import EXPERIMENT_BLOCK
 
 
 def test_rng_stream_is_reproducible():
@@ -144,6 +146,36 @@ def test_workers_do_not_change_results():
     assert serial.z_score == parallel.z_score
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("workers, trials, size", [(500, 2, 2), (3, 16, 3), (2, 1, None)])
+def test_pool_is_sized_by_trials_in_flight(monkeypatch, workers, trials, size):
+    # A pool starts all its processes at once: never more than there are trials.
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _SerialPool)
+    det, mc = DetectionSpec(1e-6, 1.0), McConfig(seed=41, trials=trials)
+    pooled = simulate_uncorrelated([3000.0, 3000.0], det, mc, workers=workers)
+    assert _SerialPool.sizes == ([] if size is None else [size])
+    serial = simulate_uncorrelated([3000.0, 3000.0], det, mc)
+    assert np.array_equal(pooled.per_trial, serial.per_trial)
+
+
 def test_prediction_uses_generalized_product():
     det = DetectionSpec(1e-6, 10.0)
     rates = [1000.0, 4000.0]
@@ -191,6 +223,20 @@ def test_experiment_deterministic_and_worker_invariant():
     assert np.array_equal(runs[0].estimates_rad, runs[2].estimates_rad, equal_nan=True)
 
 
+def test_experiment_trial_depends_only_on_seed_and_index(monkeypatch):
+    # Trials 0..9 agree whether the run ends inside the first block or after
+    # a block boundary, and for any worker count; one generator per block.
+    blocks = []
+    monkeypatch.setattr(montecarlo, "rng_stream", lambda seed, b: blocks.append(b) or rng_stream(seed, b))
+    count, point = SpuriousCount.from_count(3.0, 1.0), PhasePoint(math.pi / 4)
+    runs = [simulate_experiment(1e5, point, 2, 0.98, count, McConfig(seed=43, trials=trials), workers=w)
+            for trials in (10, EXPERIMENT_BLOCK + 7) for w in (1, 3)]
+    assert blocks == [0, 0, 0, 1, 0, 1]
+    assert runs[2].estimates_rad.size == EXPERIMENT_BLOCK + 7
+    for run in runs[1:]:
+        assert np.array_equal(run.estimates_rad[:10], runs[0].estimates_rad, equal_nan=True)
+
+
 def _invert_fringe(k: float, m: int, coherence: float, order: int,
                    true_scaled: float) -> float:
     """Reference estimator: one count through the ideal fringe, branch by branch."""
@@ -211,17 +257,23 @@ def _invert_fringe(k: float, m: int, coherence: float, order: int,
     (1e6, math.pi / 4, 1.0, 0.0, 23, 400),
     (1e5, 0.0, 1.0, 5.0, 31, 100),  # most trials fail
     (1e5, math.pi / 4, 0.98, 3.0, 37, 50),
-], ids=["quadrature", "maximum_cusp", "partial_coherence"])
+    (1e5, math.pi / 4, 0.98, 3.0, 37, EXPERIMENT_BLOCK + 7),  # a cut second block
+], ids=["quadrature", "maximum_cusp", "partial_coherence", "two_blocks"])
 def test_experiment_matches_per_trial_reference(pairs, phase, coherence, delta_pcc, seed, trials):
     order, m = 2, int(round(pairs))
     result = simulate_experiment(pairs, PhasePoint(phase), order, coherence,
                                  SpuriousCount.from_count(delta_pcc, 1.0),
                                  McConfig(seed=seed, trials=trials))
     prob = 0.5 * (1.0 + coherence * math.cos(order * phase))
+    # Trial i is entry i % B of block i // B; a block draws B binomials, then B Poissons.
+    counts = []
+    for block in range((trials + EXPERIMENT_BLOCK - 1) // EXPERIMENT_BLOCK):
+        rng = rng_stream(seed, block)
+        binomials = rng.binomial(m, prob, EXPERIMENT_BLOCK)
+        poissons = rng.poisson(delta_pcc, EXPERIMENT_BLOCK)
+        counts += [int(b) + int(q) for b, q in zip(binomials, poissons)]
     for i, estimate in enumerate(result.estimates_rad):
-        rng = rng_stream(seed, i)
-        k = rng.binomial(m, prob) + (rng.poisson(delta_pcc) if delta_pcc > 0.0 else 0)
-        expected = _invert_fringe(float(k), m, coherence, order, order * phase)
+        expected = _invert_fringe(float(counts[i]), m, coherence, order, order * phase)
         assert math.isnan(estimate) == math.isnan(expected)
         if not math.isnan(expected):
             assert estimate == pytest.approx(expected, abs=1e-12)
