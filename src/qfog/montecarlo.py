@@ -30,12 +30,17 @@ from .spurious import SpuriousCount, _minimal_branch, spurious_coincidences_per_
 # simulate_uncorrelated.
 MAX_WINDOWS = 2**46
 
-# Peak memory per arrival of one in-flight trial: the measured growth of
-# peak RSS is 32-34 bytes per event in either window mode, rounded up.
+# Peak memory per arrival of one in-flight trial, rounded up from the
+# measured growth of peak RSS at 7e5 and 7e6 events: 32.3-32.5 bytes per
+# event binned, 24.9-25.0 sliding.
 BYTES_PER_EVENT = 40
 
 # Experiment trials per generator: building one costs far more than a trial's draws.
 EXPERIMENT_BLOCK = 1024
+
+# Peak memory per experiment trial: the measured growth of peak RSS is
+# 59-63 bytes per trial at 1e6-4e6 trials, rounded up.
+BYTES_PER_TRIAL = 72
 
 
 @dataclass(frozen=True)
@@ -138,8 +143,42 @@ def _binned_count(fractions: list[np.ndarray], n_windows: float) -> float:
 def _sliding_count(fractions: list[np.ndarray], t_meas: float, tau: float) -> float:
     """N-fold groups (one arrival per detector) with spread <= tau.
 
-    Each qualifying group is counted once, anchored at its earliest
-    arrival; ties have probability zero for continuous arrival times.
+    An arrival's key is ``k << b | d``: ``k = u * 2**53`` is its draw as an
+    exact integer (``rng.random()`` returns multiples of 2**-53), ``d`` its
+    detector.  Inside a group's span every gap between consecutive merged
+    arrivals is at most tau, so an arrival with no merged neighbour within
+    reach is in no group; the rest, decoded bit for bit, give
+    ``_searchsorted_count`` the count it gives on every arrival.
+    """
+    b = max(1, (len(fractions) - 1).bit_length())
+    keys = np.empty(sum(u.size for u in fractions), dtype=np.int64)
+    start = 0
+    for d, u in enumerate(fractions):
+        key = keys[start:start + u.size]
+        start += u.size
+        np.multiply(u, 2.0**53, out=key, casting="unsafe")
+        key <<= b
+        key |= d
+    keys.sort()
+    # Two arrivals that both pass one anchor's float test t_a <= t <= t_a + tau differ
+    # in k by at most ceil(tau/T * 2**53) + 6: u*T, t_a + tau and tau/T each round by
+    # at most 2**-53 relative, with u < 1 and tau/T capped at 1 (beyond it every
+    # arrival is within reach).  One more unit covers the detector bits of a key
+    # difference; the outer cap keeps reach inside int64.
+    reach = min((math.ceil(min(tau / t_meas, 1.0) * 2.0**53) + 7) << b, 2**63 - 1)
+    close = np.diff(keys) <= reach
+    keep = np.zeros(keys.size, dtype=bool)
+    keep[1:] = close
+    keep[:-1] |= close
+    keys = keys[keep]
+    labels, draws = keys & ((1 << b) - 1), (keys >> b) * 2.0**-53
+    return _searchsorted_count([draws[labels == d] for d in range(len(fractions))], t_meas, tau)
+
+
+def _searchsorted_count(fractions: list[np.ndarray], t_meas: float, tau: float) -> float:
+    """Exact sliding count: each group is counted once, anchored at its earliest arrival.
+
+    Ties have probability zero for continuous arrival times.
     """
     times = [np.sort(u) * t_meas for u in fractions]
     total = 0.0
@@ -187,6 +226,13 @@ def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McC
     each group at its earliest arrival, ``sum_d m_d * prod_{j!=d} (m_j *
     tau / T)``, N times the binned mean, less an O(tau / T) edge term.
 
+    The sliding count sorts every arrival once, as one int64 key holding
+    its 53-bit draw and its detector, keeps the arrivals whose neighbour in
+    that merged order lies within tau (every member of a group does), and
+    counts those exactly with one ``searchsorted`` per anchor and other
+    detector.  The detector label has 10 bits, so sliding mode refuses more
+    than 1024 detectors; binned mode has no such limit.
+
     Memory is ``BYTES_PER_EVENT`` times the expected arrivals per trial,
     ``sum(rate) * t_meas``, times the trials in flight, ``min(workers,
     trials)``, which is also the pool's process count (a pool starts them
@@ -210,6 +256,9 @@ def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McC
     if mc.window_mode not in (None, det.window_mode):
         raise ValueError(f"window_mode: McConfig {mc.window_mode.value!r} != spec {det.window_mode.value!r}")
     binned = det.window_mode is WindowMode.BINNED
+    _require(binned or len(rates) <= 2**10, "singles_rate_per_detector",
+             f"sliding mode labels each arrival with 10 bits beside its 53-bit draw, "
+             f"so it counts at most 1024 detectors, got {len(rates)}")
     _require(t_meas / tau <= MAX_WINDOWS, "measurement_time_s",
              f"window count {t_meas / tau:.3e} exceeds 2**46, the most the uniform "
              "draw resolves; scale the measurement time down")
@@ -253,6 +302,7 @@ def simulate_experiment(pairs: float, phase: PhasePoint, order: int, coherence: 
     _require_finite(coherence, "coherence")
     _require(0.0 < coherence <= 1.0, "coherence",
              "must lie in (0, 1] (the fringe inversion divides by it)")
+    _require_memory(mc.trials * BYTES_PER_TRIAL, "trials", f"{mc.trials} experiment trials")
 
     true_total = phase.total_rad
     true_scaled = order * true_total

@@ -90,6 +90,76 @@ def test_memory_guard_refuses_before_drawing():
         simulate_uncorrelated([1e12, 1e12], det, McConfig(seed=1, trials=1))
 
 
+@pytest.mark.parametrize("rate_tau, events", [(1e-6, 2e4), (0.1, 2e3)], ids=["sparse", "dense"])
+def test_sliding_filter_matches_searchsorted_count(rate_tau, events):
+    # The neighbour filter drops only arrivals that belong to no group.  Five
+    # groups planted on the 2**-53 grid of rng.random() give the sparse draws
+    # something to keep.
+    rng = np.random.default_rng(61)
+    for _ in range(12):
+        n, t_meas = int(rng.integers(2, 6)), float(rng.uniform(0.5, 20.0))
+        tau = rate_tau * t_meas / events
+        starts = rng.uniform(0.0, 1.0 - tau / t_meas, 5)
+        fractions = [np.concatenate([rng.random(rng.poisson(events * rng.uniform(0.5, 1.0))),
+                                     np.floor((starts + rng.uniform(0.0, tau / t_meas, 5)) * 2.0**53) * 2.0**-53])
+                     for _ in range(n)]
+        exact = montecarlo._searchsorted_count(fractions, t_meas, tau)
+        assert exact >= 5.0
+        assert montecarlo._sliding_count(fractions, t_meas, tau) == exact
+
+
+_K = 2.0**-53  # one step of rng.random(); with T = 2**53 s an arrival's time is its step count
+
+
+@pytest.mark.parametrize("steps, expected", [
+    ([[100, 104], [108]], 2),             # chain a1, a2, b within tau: two groups
+    ([[200], [200]], 2),                  # tied across detectors: anchored at each
+    ([[300], [310]], 1),                  # gap of exactly tau
+    ([[300], [311]], 0),                  # one step beyond tau
+    ([[600], [605], [610]], 1),           # three detectors spanning exactly tau
+    ([[], []], 0),                        # every detector empty
+    ([[], [5]], 0),                       # one arrival in all
+    ([[700, 1000], [705, 1400], []], 0),  # a silent detector
+], ids=["chain", "tie", "gap-tau", "gap-beyond", "three", "empty", "single", "silent"])
+def test_sliding_count_edge_cases(steps, expected):
+    fractions = [np.array(s, dtype=float) * _K for s in steps]
+    assert montecarlo._searchsorted_count(fractions, 2.0**53, 10.0) == expected
+    assert montecarlo._sliding_count(fractions, 2.0**53, 10.0) == expected
+
+
+@pytest.mark.parametrize("t_meas, tau", [(7.3, 1.3e-9), (1800.0, 156e-12), (0.37, 2.9e-3)])
+def test_sliding_filter_keeps_pairs_at_the_rounding_edge(t_meas, tau):
+    # Pairs whose draws differ by ceil(tau/T * 2**53) - 4 ... + 9 steps, near u = 0,
+    # 1/2 and 1, straddle the float test t_o <= t_a + tau on both sides of the anchor.
+    span = math.ceil(tau / t_meas * 2.0**53)
+    first, second = [], []
+    for base in (2**20, 2**52, 2**53 - 60 * (span + 16)):
+        for j, extra in enumerate(range(-4, 10)):
+            anchor = base + j * 4 * (span + 16)
+            first.append(anchor)
+            second.append(anchor + span + extra)
+    for fractions in ([np.array(first) * _K, np.array(second) * _K],
+                      [np.array(second) * _K, np.array(first) * _K]):
+        exact = montecarlo._searchsorted_count(fractions, t_meas, tau)
+        assert montecarlo._sliding_count(fractions, t_meas, tau) == exact
+
+
+def test_sliding_window_longer_than_record():
+    # tau > T: every arrival shares a window with every other, one group per combination.
+    rng = np.random.default_rng(67)
+    fractions = [rng.random(7), rng.random(5), rng.random(3)]
+    assert montecarlo._searchsorted_count(fractions, 3.0, 5.0) == 105.0
+    assert montecarlo._sliding_count(fractions, 3.0, 5.0) == 105.0
+
+
+def test_sliding_refuses_more_than_1024_detectors():
+    rates = [1.0] * 1025
+    with pytest.raises(ValueError, match="singles_rate_per_detector.*1024"):
+        simulate_uncorrelated(rates, DetectionSpec(1e-6, 1.0, WindowMode.SLIDING), McConfig(seed=1, trials=1))
+    binned = simulate_uncorrelated(rates, DetectionSpec(1e-6, 1.0), McConfig(seed=1, trials=1))
+    assert binned.per_trial.size == 1
+
+
 def test_sliding_exceeds_binned_on_identical_streams():
     # One default McConfig for both runs: the detection spec alone picks the mode.
     mc = McConfig(seed=7, trials=40)
@@ -136,8 +206,9 @@ def test_doubling_jitter_doubles_two_detector_mean():
     assert abs(double.mean_coincidences - 2.0 * base.mean_coincidences) < 3.0 * se_diff
 
 
-def test_workers_do_not_change_results():
-    det = DetectionSpec(1e-6, 5.0)
+@pytest.mark.parametrize("mode", list(WindowMode), ids=lambda m: m.value)
+def test_workers_do_not_change_results(mode):
+    det = DetectionSpec(1e-6, 5.0, mode)
     mc = McConfig(seed=17, trials=16)
     serial = simulate_uncorrelated([3000.0, 3000.0], det, mc, workers=1)
     parallel = simulate_uncorrelated([3000.0, 3000.0], det, mc, workers=3)
@@ -277,6 +348,14 @@ def test_experiment_matches_per_trial_reference(pairs, phase, coherence, delta_p
         assert math.isnan(estimate) == math.isnan(expected)
         if not math.isnan(expected):
             assert estimate == pytest.approx(expected, abs=1e-12)
+
+
+def test_experiment_memory_guard_refuses_before_drawing(monkeypatch):
+    # 1e12 trials: tens of terabytes of counts and estimates, refused before any generator is built.
+    monkeypatch.setattr(montecarlo, "rng_stream", lambda seed, b: pytest.fail("drew before the guard"))
+    with pytest.raises(ValueError, match="trials.*memory"):
+        simulate_experiment(1e5, PhasePoint(math.pi / 4), 2, 1.0, SpuriousCount(0.0, 0.0),
+                            McConfig(seed=1, trials=10**12))
 
 
 def test_experiment_validation():
