@@ -8,9 +8,11 @@ of the phase bias it induces.
 Determinism contract: every draw depends only on ``(seed, trial_index)``,
 so results are bit-identical for a given seed no matter how trials are
 distributed over workers.  An event-stream trial i draws from
-``rng_stream(seed, i)``; experiment trial i is entry ``i % B`` of block
-``i // B``, drawn from ``rng_stream(seed, i // B)``, B = ``EXPERIMENT_BLOCK``.
-Aggregation uses only order-insensitive reductions.
+``rng_stream(seed, i)``, first its arrivals per chunk of a time grid that
+depends only on the rates and the record length (see ``_chunk_counts``),
+then each chunk's arrival times in time order; experiment trial i is entry
+``i % B`` of block ``i // B``, drawn from ``rng_stream(seed, i // B)``,
+B = ``EXPERIMENT_BLOCK``.  Aggregation uses only order-insensitive reductions.
 """
 
 from __future__ import annotations
@@ -26,13 +28,23 @@ from .model import DetectionSpec, PhasePoint, WindowMode, _require, _require_fin
 from .sagnac import coincidence_probability
 from .spurious import SpuriousCount, _minimal_branch, spurious_coincidences_per_detector
 
-# Largest window count t_meas/jitter the uniform draw resolves; see
+# Ticks per record: arrival times are integers t < TICKS, the fraction t / TICKS.
+TICKS = 2**53
+
+# Largest window count t_meas/jitter the tick lattice resolves; see
 # simulate_uncorrelated.
 MAX_WINDOWS = 2**46
 
+# Most expected arrivals per chunk of a trial's record; see _chunk_counts.  Of
+# 2**13 ... 2**18, 2**15 counted fastest in both modes: chunks this small sort in cache.
+CHUNK_EVENTS = 2**15
+
 # Peak memory per arrival of one in-flight trial, rounded up from the
-# measured growth of peak RSS at 7e5 and 7e6 events: 32.3-32.5 bytes per
-# event binned, 24.9-25.0 sliding.
+# measured growth of peak RSS of a sliding trial at 7e5 and 7e6 events:
+# 17.1-17.5 bytes per event.  A binned trial holds one chunk (about 1 MB at
+# either size), but the guard still sizes its whole record: that refuses
+# records whose chunk grid alone (K x N counts) would not fit, or would take
+# hours to walk, before any draw.
 BYTES_PER_EVENT = 40
 
 # Experiment trials per generator: building one costs far more than a trial's draws.
@@ -122,57 +134,106 @@ def rng_stream(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def _binned_count(fractions: list[np.ndarray], n_windows: float) -> float:
+def _chunk_counts(rng: np.random.Generator, rates: tuple[float, ...], t_meas: float) -> np.ndarray:
+    """Arrivals per chunk and detector, shape (K, N), drawn first in a trial.
+
+    The record's ``TICKS`` ticks are cut into K = 2**m equal chunks, m the
+    least for which the expected arrivals per chunk, ``sum(rates) * t_meas /
+    K``, are at most ``CHUNK_EVENTS``: the grid depends on rates and record
+    length only.
+    """
+    events, chunks = sum(rates) * t_meas, 1
+    while events > CHUNK_EVENTS * chunks:
+        chunks *= 2
+    return rng.poisson(np.array(rates) * (t_meas / chunks), size=(chunks, len(rates)))
+
+
+def _chunk_ticks(rng: np.random.Generator, counts: np.ndarray):
+    """Yield each chunk's arrivals in time order: one int64 tick array per detector.
+
+    Tick t is the fraction ``t / TICKS`` of the record, the lattice of
+    ``rng.random()``; chunk c holds the ticks in ``[c * span, (c + 1) * span)``.
+    """
+    span = TICKS // len(counts)
+    for c, row in enumerate(counts):
+        yield [rng.integers(c * span, (c + 1) * span, n, dtype=np.int64) for n in row]
+
+
+def _binned_count(chunks, span: int, n_windows: float) -> float:
     """Windows (out of n_windows) holding at least one arrival per detector.
 
-    The occupied windows of each detector are found by sorting and
-    dropping adjacent repeats; ``np.unique`` gives the same array but, on
-    unsorted int64 input, takes tens of times longer on numpy 2.4.
+    ``chunks`` yields the tick arrays of consecutive chunks of ``span`` ticks.
+    Each chunk's occupied windows per detector are found by sorting and
+    dropping adjacent repeats (``np.unique`` takes tens of times longer on
+    unsorted int64 input on numpy 2.4) and intersected.  Only windows below
+    ``closed``, the window of the next chunk's first tick, are final and
+    counted; a detector's window at ``closed`` (at most one) is carried into
+    the next chunk.  The last chunk counts everything, the partial last
+    window included.
     """
-    common: np.ndarray | None = None
-    for u in fractions:
-        idx = (u * n_windows).astype(np.int64)
-        idx.sort()
-        first = np.ones(idx.size, dtype=bool)
-        np.not_equal(idx[1:], idx[:-1], out=first[1:])
-        idx = idx[first]
-        common = idx if common is None else np.intersect1d(common, idx, assume_unique=True)
-    return float(common.size)
+    scale = n_windows / TICKS  # exact: TICKS is a power of two
+    total, carried = 0, None
+    for c, ticks in enumerate(chunks, 1):
+        closed = int(c * span * scale) if c * span < TICKS else math.inf
+        common, held = None, []
+        for d, t in enumerate(ticks):
+            idx = (t.astype(float) * scale).astype(np.int64)  # = t * scale, whose mixed-type loop is slower
+            if carried is not None:
+                idx = np.concatenate((carried[d], idx))
+            idx.sort()
+            first = np.ones(idx.size, dtype=bool)
+            np.not_equal(idx[1:], idx[:-1], out=first[1:])
+            idx = idx[first]
+            held.append(idx[np.searchsorted(idx, closed):])
+            if common is None:
+                common = idx
+            elif common.size:
+                common = np.intersect1d(common, idx, assume_unique=True)
+        total += int(np.count_nonzero(common < closed))
+        carried = held
+    return float(total)
 
 
-def _sliding_count(fractions: list[np.ndarray], t_meas: float, tau: float) -> float:
+def _sliding_count(chunks, counts: np.ndarray, t_meas: float, tau: float) -> float:
     """N-fold groups (one arrival per detector) with spread <= tau.
 
-    An arrival's key is ``k << b | d``: ``k = u * 2**53`` is its draw as an
-    exact integer (``rng.random()`` returns multiples of 2**-53), ``d`` its
-    detector.  Inside a group's span every gap between consecutive merged
-    arrivals is at most tau, so an arrival with no merged neighbour within
-    reach is in no group; the rest, decoded bit for bit, give
-    ``_searchsorted_count`` the count it gives on every arrival.
+    An arrival's key is ``t << b | d``: its tick ``t`` (below 2**53) and its
+    detector ``d``.  The keys are written chunk after chunk into one array
+    sized by ``counts`` and each chunk's slice is sorted in place; chunks
+    are disjoint in time, so the whole array ends up sorted.  Inside a
+    group's span every gap between consecutive merged arrivals is at most
+    tau, so an arrival with no merged neighbour within reach is in no group;
+    the rest, decoded bit for bit, give ``_searchsorted_count`` the count it
+    gives on every arrival.  A detector left without survivors means no group.
     """
-    b = max(1, (len(fractions) - 1).bit_length())
-    keys = np.empty(sum(u.size for u in fractions), dtype=np.int64)
+    n = counts.shape[1]
+    b = max(1, (n - 1).bit_length())
+    keys = np.empty(int(counts.sum()), dtype=np.int64)
     start = 0
-    for d, u in enumerate(fractions):
-        key = keys[start:start + u.size]
-        start += u.size
-        np.multiply(u, 2.0**53, out=key, casting="unsafe")
-        key <<= b
-        key |= d
-    keys.sort()
+    for ticks in chunks:
+        chunk_start = start
+        for d, t in enumerate(ticks):
+            key = keys[start:start + t.size]
+            start += t.size
+            np.left_shift(t, b, out=key)
+            key |= d
+        keys[chunk_start:start].sort()
     # Two arrivals that both pass one anchor's float test t_a <= t <= t_a + tau differ
-    # in k by at most ceil(tau/T * 2**53) + 6: u*T, t_a + tau and tau/T each round by
+    # in tick by at most ceil(tau/T * 2**53) + 6: u*T, t_a + tau and tau/T each round by
     # at most 2**-53 relative, with u < 1 and tau/T capped at 1 (beyond it every
     # arrival is within reach).  One more unit covers the detector bits of a key
     # difference; the outer cap keeps reach inside int64.
-    reach = min((math.ceil(min(tau / t_meas, 1.0) * 2.0**53) + 7) << b, 2**63 - 1)
+    reach = min((math.ceil(min(tau / t_meas, 1.0) * TICKS) + 7) << b, 2**63 - 1)
     close = np.diff(keys) <= reach
     keep = np.zeros(keys.size, dtype=bool)
     keep[1:] = close
     keep[:-1] |= close
     keys = keys[keep]
-    labels, draws = keys & ((1 << b) - 1), (keys >> b) * 2.0**-53
-    return _searchsorted_count([draws[labels == d] for d in range(len(fractions))], t_meas, tau)
+    labels, draws = keys & ((1 << b) - 1), (keys >> b) / TICKS
+    survivors = [draws[labels == d] for d in range(n)]
+    if any(s.size == 0 for s in survivors):
+        return 0.0
+    return _searchsorted_count(survivors, t_meas, tau)
 
 
 def _searchsorted_count(fractions: list[np.ndarray], t_meas: float, tau: float) -> float:
@@ -196,10 +257,11 @@ def _searchsorted_count(fractions: list[np.ndarray], t_meas: float, tau: float) 
 
 def _uncorrelated_trial(seed, rates, t_meas, tau, binned, index) -> float:
     rng = rng_stream(seed, index)
-    fractions = [rng.random(rng.poisson(r * t_meas)) for r in rates]
+    counts = _chunk_counts(rng, rates, t_meas)
+    chunks = _chunk_ticks(rng, counts)
     if binned:
-        return _binned_count(fractions, t_meas / tau)
-    return _sliding_count(fractions, t_meas, tau)
+        return _binned_count(chunks, TICKS // len(counts), t_meas / tau)
+    return _sliding_count(chunks, counts, t_meas, tau)
 
 
 def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McConfig,
@@ -221,26 +283,35 @@ def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McC
     Notes
     -----
     Arrivals are generated as sparse event streams, never as materialized
-    windows.  The stored prediction is each mode's mean for mean counts m_j:
-    binned, ``m_1 * prod_{j>=2} (m_j * tau / T)``; sliding, which anchors
-    each group at its earliest arrival, ``sum_d m_d * prod_{j!=d} (m_j *
-    tau / T)``, N times the binned mean, less an O(tau / T) edge term.
+    windows: integer ticks ``t < 2**53``, the fraction ``t / 2**53`` of the
+    record, drawn chunk by chunk in time order over 2**m equal chunks, m the
+    least that keeps the expected arrivals per chunk at most
+    ``CHUNK_EVENTS``.  Both modes consume the same draw.  The stored
+    prediction is each mode's mean for mean counts m_j: binned, ``m_1 *
+    prod_{j>=2} (m_j * tau / T)``; sliding, which anchors each group at its
+    earliest arrival, ``sum_d m_d * prod_{j!=d} (m_j * tau / T)``, N times
+    the binned mean, less an O(tau / T) edge term.
 
-    The sliding count sorts every arrival once, as one int64 key holding
-    its 53-bit draw and its detector, keeps the arrivals whose neighbour in
-    that merged order lies within tau (every member of a group does), and
-    counts those exactly with one ``searchsorted`` per anchor and other
-    detector.  The detector label has 10 bits, so sliding mode refuses more
-    than 1024 detectors; binned mode has no such limit.
+    The binned count streams: each chunk's occupied windows are intersected
+    across detectors and the windows no later arrival can reach are counted,
+    the boundary window carried into the next chunk.  The sliding count
+    sorts every arrival, as one int64 key holding its tick and its detector,
+    one chunk's slice at a time, keeps the arrivals whose neighbour in that
+    merged order lies within tau (every member of a group does), and counts
+    those exactly with one ``searchsorted`` per anchor and other detector.
+    The detector label has 10 bits, so sliding mode refuses more than 1024
+    detectors; binned mode has no such limit.
 
-    Memory is ``BYTES_PER_EVENT`` times the expected arrivals per trial,
-    ``sum(rate) * t_meas``, times the trials in flight, ``min(workers,
-    trials)``, which is also the pool's process count (a pool starts them
-    all at once); a run above the physical memory is refused before any draw.
+    A binned trial holds one chunk; a sliding trial holds its whole record,
+    about 17 bytes per arrival.  The guard charges either mode
+    ``BYTES_PER_EVENT`` times the expected arrivals per trial, ``sum(rate) *
+    t_meas``, times the trials in flight, ``min(workers, trials)``, which is
+    also the pool's process count (a pool starts them all at once); a run
+    above the physical memory is refused before any draw.
 
     In either mode the window count ``t_meas / jitter`` may not exceed
-    ``MAX_WINDOWS`` = 2**46.  Arrival fractions come from ``rng.random()``,
-    which has 2**53 levels, so every window spans at least 128 of them:
+    ``MAX_WINDOWS`` = 2**46.  Arrival times have 2**53 levels (the lattice
+    of ``rng.random()``), so every window spans at least 128 of them:
     window indices and sliding arrival times are uniform to 1/128 per
     window, and the relative bias of the expected count is at most
     ``C(N,2) / (4 * 128**2)`` (1.5e-5 for two detectors).  Beyond the limit

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,28 @@ def test_memory_guard_refuses_before_drawing():
         simulate_uncorrelated([1e12, 1e12], det, McConfig(seed=1, trials=1))
 
 
+def _sliding(fractions, t_meas, tau):
+    """``_sliding_count`` on arrival fractions of the 2**-53 lattice, as the ticks of one chunk."""
+    ticks = [(np.asarray(u, dtype=float) * 2.0**53).astype(np.int64) for u in fractions]
+    return montecarlo._sliding_count([ticks], np.array([[t.size for t in ticks]]), t_meas, tau)
+
+
+def _whole_record_binned_count(ticks, n_windows):
+    """Unchunked oracle: windows of the whole record occupied by every detector."""
+    common = None
+    for t in ticks:
+        idx = np.unique((t * (n_windows / 2.0**53)).astype(np.int64))
+        common = idx if common is None else np.intersect1d(common, idx)
+    return float(common.size)
+
+
+def _draw(seed, rates, t_meas):
+    """One trial's chunk counts and the tick arrays of every chunk, as a trial draws them."""
+    rng = np.random.default_rng(seed)
+    counts = montecarlo._chunk_counts(rng, rates, t_meas)
+    return counts, list(montecarlo._chunk_ticks(rng, counts))
+
+
 @pytest.mark.parametrize("rate_tau, events", [(1e-6, 2e4), (0.1, 2e3)], ids=["sparse", "dense"])
 def test_sliding_filter_matches_searchsorted_count(rate_tau, events):
     # The neighbour filter drops only arrivals that belong to no group.  Five
@@ -105,7 +128,7 @@ def test_sliding_filter_matches_searchsorted_count(rate_tau, events):
                      for _ in range(n)]
         exact = montecarlo._searchsorted_count(fractions, t_meas, tau)
         assert exact >= 5.0
-        assert montecarlo._sliding_count(fractions, t_meas, tau) == exact
+        assert _sliding(fractions, t_meas, tau) == exact
 
 
 _K = 2.0**-53  # one step of rng.random(); with T = 2**53 s an arrival's time is its step count
@@ -124,7 +147,7 @@ _K = 2.0**-53  # one step of rng.random(); with T = 2**53 s an arrival's time is
 def test_sliding_count_edge_cases(steps, expected):
     fractions = [np.array(s, dtype=float) * _K for s in steps]
     assert montecarlo._searchsorted_count(fractions, 2.0**53, 10.0) == expected
-    assert montecarlo._sliding_count(fractions, 2.0**53, 10.0) == expected
+    assert _sliding(fractions, 2.0**53, 10.0) == expected
 
 
 @pytest.mark.parametrize("t_meas, tau", [(7.3, 1.3e-9), (1800.0, 156e-12), (0.37, 2.9e-3)])
@@ -141,7 +164,7 @@ def test_sliding_filter_keeps_pairs_at_the_rounding_edge(t_meas, tau):
     for fractions in ([np.array(first) * _K, np.array(second) * _K],
                       [np.array(second) * _K, np.array(first) * _K]):
         exact = montecarlo._searchsorted_count(fractions, t_meas, tau)
-        assert montecarlo._sliding_count(fractions, t_meas, tau) == exact
+        assert _sliding(fractions, t_meas, tau) == exact
 
 
 def test_sliding_window_longer_than_record():
@@ -149,7 +172,114 @@ def test_sliding_window_longer_than_record():
     rng = np.random.default_rng(67)
     fractions = [rng.random(7), rng.random(5), rng.random(3)]
     assert montecarlo._searchsorted_count(fractions, 3.0, 5.0) == 105.0
-    assert montecarlo._sliding_count(fractions, 3.0, 5.0) == 105.0
+    assert _sliding(fractions, 3.0, 5.0) == 105.0
+
+
+def test_sliding_skips_the_exact_count_without_survivors(monkeypatch):
+    # 256 detectors at 10 Hz, 1 ns windows: the filter leaves some detector empty,
+    # so no group exists and the N*(N-1) searchsorted passes are never made.
+    monkeypatch.setattr(montecarlo, "_searchsorted_count", lambda *a: pytest.fail("counted without survivors"))
+    result = simulate_uncorrelated([10.0] * 256, DetectionSpec(1e-9, 1.0, WindowMode.SLIDING),
+                                   McConfig(seed=1, trials=1))
+    assert result.per_trial.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("rates, t_meas, chunks", [
+    ((0.0, 0.0), 1.0, 1),
+    ((3.0, 5.0), 1e3, 1),                    # 8000 expected, within one chunk
+    ((2.0**14, 2.0**14), 1.0, 1),            # exactly CHUNK_EVENTS
+    ((2.0**14, 2.0**14 + 1.0), 1.0, 2),
+    ((19.05e3, 19.05e3), 180.0, 256),        # the 180 s benchmark record
+])
+def test_chunk_grid_is_the_least_power_of_two(rates, t_meas, chunks):
+    # The grid depends on the rates and the record length only, never on the draw.
+    assert montecarlo.CHUNK_EVENTS == 2**15
+    counts, ticks = _draw(3, rates, t_meas)
+    assert counts.shape == (chunks, len(rates))
+    span = montecarlo.TICKS // chunks
+    for c, chunk in enumerate(ticks):
+        for t, n in zip(chunk, counts[c]):
+            assert t.dtype == np.int64 and t.size == n
+            assert np.all((c * span <= t) & (t < (c + 1) * span))
+
+
+def _random_case(rng, dense):
+    """Rates, record length and a non-integer window count T/tau, sparse or dense per window."""
+    n, t_meas = int(rng.integers(2, 5)), float(rng.uniform(0.5, 20.0))
+    per_detector = rng.uniform(100.0, 1000.0, n)
+    occupancy = rng.uniform(0.5, 50.0) if dense else rng.uniform(0.01, 0.05)
+    n_windows = float(per_detector.mean() / occupancy)
+    assert n_windows % 1.0 != 0.0
+    return tuple(per_detector / t_meas), t_meas, t_meas / n_windows
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+def test_chunked_binned_count_matches_whole_record(monkeypatch, dense):
+    # Dense windows span many chunks, so the carried boundary window is exercised
+    # through long runs of chunk edges; 1 to 2048 chunks per record.
+    rng = np.random.default_rng(71 + dense)
+    found = 0.0
+    for seed in range(24):
+        monkeypatch.setattr(montecarlo, "CHUNK_EVENTS", 2 ** int(rng.integers(1, 12)))
+        rates, t_meas, tau = _random_case(rng, dense)
+        counts, ticks = _draw(seed, rates, t_meas)
+        whole = [np.concatenate(per_detector) for per_detector in zip(*ticks)]
+        exact = _whole_record_binned_count(whole, t_meas / tau)
+        assert montecarlo._binned_count(iter(ticks), montecarlo.TICKS // len(counts), t_meas / tau) == exact
+        found += exact
+    assert found > 0.0
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+def test_chunked_sliding_count_matches_searchsorted_count(monkeypatch, dense):
+    # Per-chunk slice sorts leave the merged keys sorted; the count is the whole-record one.
+    rng = np.random.default_rng(73 + dense)
+    found = 0.0
+    for seed in range(16):
+        monkeypatch.setattr(montecarlo, "CHUNK_EVENTS", 2 ** int(rng.integers(1, 12)))
+        rates, t_meas, tau = _random_case(rng, dense)
+        counts, ticks = _draw(seed, rates, t_meas)
+        whole = [np.concatenate(per_detector) * 2.0**-53 for per_detector in zip(*ticks)]
+        exact = montecarlo._searchsorted_count(whole, t_meas, tau)
+        assert montecarlo._sliding_count(iter(ticks), counts, t_meas, tau) == exact
+        found += exact
+    assert found > 0.0
+
+
+_T = 2**53  # ticks per record
+
+
+@pytest.mark.parametrize("fractions, n_windows, chunks, expected", [
+    # 10.5 windows: the last one, [10/10.5, 1), is partial and still counted.
+    ([[0.99], [0.995]], 10.5, 4, 1),
+    ([[0.99], [0.94]], 10.5, 4, 0),
+    # Window 1 of 3, [1/3, 2/3), straddles the edge at 1/2 and is held on both sides.
+    ([[0.4, 0.6], [0.45, 0.55]], 3.0, 2, 1),
+    ([[0.4], [0.6]], 3.0, 2, 1),
+    # One window over eight chunks, its arrivals in the first and the last.
+    ([[0.01], [0.99], [0.5]], 1.0, 8, 1),
+    ([[0.01], [0.99], []], 1.0, 8, 0),
+], ids=["partial-last", "partial-last-missed", "straddle-both-sides", "straddle", "eight-chunks",
+        "eight-chunks-silent"])
+def test_binned_count_at_chunk_edges(fractions, n_windows, chunks, expected):
+    span = _T // chunks
+    ticks = [(np.array(u, dtype=float) * 2.0**53).astype(np.int64) for u in fractions]
+    per_chunk = [[t[(c * span <= t) & (t < (c + 1) * span)] for t in ticks] for c in range(chunks)]
+    assert _whole_record_binned_count(ticks, n_windows) == expected
+    assert montecarlo._binned_count(iter(per_chunk), span, n_windows) == expected
+
+
+def test_binned_trial_holds_one_chunk():
+    # The 180 s benchmark record, 2 x 3.4e6 arrivals: about 167 MB traced as one
+    # event list, a few chunks of 2**15 arrivals when streamed.
+    det = DetectionSpec(156e-12, 180.0)
+    tracemalloc.start()
+    try:
+        simulate_uncorrelated([19.05e3, 19.05e3], det, McConfig(seed=811, trials=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_sliding_refuses_more_than_1024_detectors():
