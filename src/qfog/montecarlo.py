@@ -3,13 +3,14 @@
 Simulates Poisson photon arrival streams at each detector and counts
 N-fold coincidences the way real counting electronics would, providing an
 independent empirical check of the analytic accidental-count formula and
-of the phase bias it induces.
+of the phase bias it induces.  Both window modes count a trial one chunk
+of its record at a time, as sorted keys labelled by detector.
 
 Determinism contract: every draw depends only on ``(seed, trial_index)``,
 so results are bit-identical for a given seed no matter how trials are
 distributed over workers.  An event-stream trial i draws from
 ``rng_stream(seed, i)``, first its arrivals per chunk of a time grid that
-depends only on the rates and the record length (see ``_chunk_counts``),
+depends only on the rates and the record length (see ``_chunk_grid``),
 then each chunk's arrival times in time order; experiment trial i is entry
 ``i % B`` of block ``i // B``, drawn from ``rng_stream(seed, i // B)``,
 B = ``EXPERIMENT_BLOCK``.  Aggregation uses only order-insensitive reductions.
@@ -31,21 +32,17 @@ from .spurious import SpuriousCount, _minimal_branch, spurious_coincidences_per_
 # Ticks per record: arrival times are integers t < TICKS, the fraction t / TICKS.
 TICKS = 2**53
 
-# Largest window count t_meas/jitter the tick lattice resolves; see
-# simulate_uncorrelated.
+# Largest window count t_meas/jitter the tick lattice resolves; see simulate_uncorrelated.
 MAX_WINDOWS = 2**46
 
-# Most expected arrivals per chunk of a trial's record; see _chunk_counts.  Of
+# Most expected arrivals per chunk of a trial's record; see _chunk_grid.  Of
 # 2**13 ... 2**18, 2**15 counted fastest in both modes: chunks this small sort in cache.
 CHUNK_EVENTS = 2**15
 
-# Peak memory per arrival of one in-flight trial, rounded up from the
-# measured growth of peak RSS of a sliding trial at 7e5 and 7e6 events:
-# 17.1-17.5 bytes per event.  A binned trial holds one chunk (about 1 MB at
-# either size), but the guard still sizes its whole record: that refuses
-# records whose chunk grid alone (K x N counts) would not fit, or would take
-# hours to walk, before any draw.
-BYTES_PER_EVENT = 40
+# Peak memory per arrival a trial holds (a chunk's, and a sliding trial's survivors),
+# rounded up from 7e5- and 7e6-event trials: 36-77 bytes per chunk arrival (traced
+# peak), 64-66 per survivor (peak RSS growth of a sliding trial where all survive).
+BYTES_PER_EVENT = 80
 
 # Experiment trials per generator: building one costs far more than a trial's draws.
 EXPERIMENT_BLOCK = 1024
@@ -134,17 +131,19 @@ def rng_stream(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def _chunk_counts(rng: np.random.Generator, rates: tuple[float, ...], t_meas: float) -> np.ndarray:
-    """Arrivals per chunk and detector, shape (K, N), drawn first in a trial.
-
-    The record's ``TICKS`` ticks are cut into K = 2**m equal chunks, m the
-    least for which the expected arrivals per chunk, ``sum(rates) * t_meas /
-    K``, are at most ``CHUNK_EVENTS``: the grid depends on rates and record
-    length only.
-    """
+def _chunk_grid(rates: tuple[float, ...], t_meas: float) -> int:
+    """K = 2**m equal chunks of the record, m the least for which the expected
+    arrivals per chunk, ``sum(rates) * t_meas / K``, are at most ``CHUNK_EVENTS``
+    (capped at ``TICKS`` chunks, far beyond what the memory guard admits)."""
     events, chunks = sum(rates) * t_meas, 1
-    while events > CHUNK_EVENTS * chunks:
+    while events > CHUNK_EVENTS * chunks and chunks < TICKS:
         chunks *= 2
+    return chunks
+
+
+def _chunk_counts(rng: np.random.Generator, rates: tuple[float, ...], t_meas: float) -> np.ndarray:
+    """Arrivals per chunk and detector, shape (K, N), drawn first in a trial; K is ``_chunk_grid``'s."""
+    chunks = _chunk_grid(rates, t_meas)
     return rng.poisson(np.array(rates) * (t_meas / chunks), size=(chunks, len(rates)))
 
 
@@ -159,78 +158,77 @@ def _chunk_ticks(rng: np.random.Generator, counts: np.ndarray):
         yield [rng.integers(c * span, (c + 1) * span, n, dtype=np.int64) for n in row]
 
 
+def _chunk_keys(carried: np.ndarray, xs: list[np.ndarray]) -> tuple[np.ndarray, int]:
+    """The carried keys and one chunk's keys ``x << b | d``, sorted, and b.
+
+    ``xs[d]`` holds detector d's ticks (sliding) or windows (binned); b bits label d.
+    """
+    b = max(1, (len(xs) - 1).bit_length())
+    keys = np.empty(carried.size + sum(x.size for x in xs), dtype=np.int64)
+    keys[:carried.size] = carried
+    start = carried.size
+    for d, x in enumerate(xs):
+        key = keys[start:start + x.size]
+        start += x.size
+        np.left_shift(x, b, out=key)
+        key |= d
+    keys.sort()
+    return keys, b
+
+
 def _binned_count(chunks, span: int, n_windows: float) -> float:
     """Windows (out of n_windows) holding at least one arrival per detector.
 
     ``chunks`` yields the tick arrays of consecutive chunks of ``span`` ticks.
-    Each chunk's occupied windows per detector are found by sorting and
-    dropping adjacent repeats (``np.unique`` takes tens of times longer on
-    unsorted int64 input on numpy 2.4) and intersected.  Only windows below
-    ``closed``, the window of the next chunk's first tick, are final and
-    counted; a detector's window at ``closed`` (at most one) is carried into
-    the next chunk.  The last chunk counts everything, the partial last
-    window included.
+    A chunk's keys hold each arrival's window and detector; sorted with the
+    carried keys, repeats dropped, a window is full when N consecutive keys
+    share it.  Windows below the window of the next chunk's first tick are
+    final and counted, the other keys carried.  The last chunk counts all,
+    the partial last window included.
     """
     scale = n_windows / TICKS  # exact: TICKS is a power of two
-    total, carried = 0, None
+    total, carried = 0, np.empty(0, dtype=np.int64)
     for c, ticks in enumerate(chunks, 1):
-        closed = int(c * span * scale) if c * span < TICKS else math.inf
-        common, held = None, []
-        for d, t in enumerate(ticks):
-            idx = (t.astype(float) * scale).astype(np.int64)  # = t * scale, whose mixed-type loop is slower
-            if carried is not None:
-                idx = np.concatenate((carried[d], idx))
-            idx.sort()
-            first = np.ones(idx.size, dtype=bool)
-            np.not_equal(idx[1:], idx[:-1], out=first[1:])
-            idx = idx[first]
-            held.append(idx[np.searchsorted(idx, closed):])
-            if common is None:
-                common = idx
-            elif common.size:
-                common = np.intersect1d(common, idx, assume_unique=True)
-        total += int(np.count_nonzero(common < closed))
-        carried = held
+        # t.astype(float) * scale = t * scale, whose mixed-type loop is slower.
+        keys, b = _chunk_keys(carried, [(t.astype(float) * scale).astype(np.int64) for t in ticks])
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        cut = np.searchsorted(keys, int(c * span * scale) << b) if c * span < TICKS else keys.size
+        windows, n = keys[:cut] >> b, len(ticks)
+        total += int(np.count_nonzero(windows[n - 1:] == windows[:max(0, cut - n + 1)]))
+        carried = keys[cut:]
     return float(total)
 
 
-def _sliding_count(chunks, counts: np.ndarray, t_meas: float, tau: float) -> float:
+def _sliding_count(chunks, t_meas: float, tau: float) -> float:
     """N-fold groups (one arrival per detector) with spread <= tau.
 
-    An arrival's key is ``t << b | d``: its tick ``t`` (below 2**53) and its
-    detector ``d``.  The keys are written chunk after chunk into one array
-    sized by ``counts`` and each chunk's slice is sorted in place; chunks
-    are disjoint in time, so the whole array ends up sorted.  Inside a
-    group's span every gap between consecutive merged arrivals is at most
-    tau, so an arrival with no merged neighbour within reach is in no group;
-    the rest, decoded bit for bit, give ``_searchsorted_count`` the count it
-    gives on every arrival.  A detector left without survivors means no group.
+    An arrival's key holds its tick and its detector.  Inside a group's span
+    every gap between consecutive merged arrivals is at most tau, so an
+    arrival with no merged neighbour within reach is in no group.  A chunk's
+    keys follow the previous chunk's last key, whose keep flag its right
+    neighbour may still set.  The survivors, decoded bit for bit, give
+    ``_searchsorted_count`` its count on every arrival; a detector left
+    without survivors means no group.
     """
-    n = counts.shape[1]
-    b = max(1, (n - 1).bit_length())
-    keys = np.empty(int(counts.sum()), dtype=np.int64)
-    start = 0
-    for ticks in chunks:
-        chunk_start = start
-        for d, t in enumerate(ticks):
-            key = keys[start:start + t.size]
-            start += t.size
-            np.left_shift(t, b, out=key)
-            key |= d
-        keys[chunk_start:start].sort()
-    # Two arrivals that both pass one anchor's float test t_a <= t <= t_a + tau differ
-    # in tick by at most ceil(tau/T * 2**53) + 6: u*T, t_a + tau and tau/T each round by
-    # at most 2**-53 relative, with u < 1 and tau/T capped at 1 (beyond it every
-    # arrival is within reach).  One more unit covers the detector bits of a key
-    # difference; the outer cap keeps reach inside int64.
-    reach = min((math.ceil(min(tau / t_meas, 1.0) * TICKS) + 7) << b, 2**63 - 1)
-    close = np.diff(keys) <= reach
-    keep = np.zeros(keys.size, dtype=bool)
-    keep[1:] = close
-    keep[:-1] |= close
-    keys = keys[keep]
+    # Two arrivals that both pass one anchor's float test t_a <= t <= t_a + tau differ in tick
+    # by at most ceil(tau/T * 2**53) + 6: u*T, t_a + tau and tau/T each round by at most 2**-53
+    # relative, with u < 1 and tau/T capped at 1 (beyond it every arrival is within reach).  One
+    # more unit covers the detector bits of a key difference; the cap keeps reach inside int64.
+    steps = math.ceil(min(tau / t_meas, 1.0) * TICKS) + 7
+    parts, last, held = [], np.empty(0, dtype=np.int64), np.zeros(0, dtype=bool)
+    for ticks in chunks:  # at least one chunk
+        keys, b = _chunk_keys(last, ticks)
+        close = np.diff(keys) <= min(steps << b, 2**63 - 1)
+        keep = np.zeros(keys.size, dtype=bool)
+        keep[1:], keep[:held.size] = close, held
+        keep[:-1] |= close
+        parts.append(keys[:-1][keep[:-1]])
+        last, held = keys[-1:], keep[-1:]
+    keys = np.concatenate(parts + [last[held]])
     labels, draws = keys & ((1 << b) - 1), (keys >> b) / TICKS
-    survivors = [draws[labels == d] for d in range(n)]
+    survivors = [draws[labels == d] for d in range(len(ticks))]
     if any(s.size == 0 for s in survivors):
         return 0.0
     return _searchsorted_count(survivors, t_meas, tau)
@@ -258,10 +256,9 @@ def _searchsorted_count(fractions: list[np.ndarray], t_meas: float, tau: float) 
 def _uncorrelated_trial(seed, rates, t_meas, tau, binned, index) -> float:
     rng = rng_stream(seed, index)
     counts = _chunk_counts(rng, rates, t_meas)
-    chunks = _chunk_ticks(rng, counts)
     if binned:
-        return _binned_count(chunks, TICKS // len(counts), t_meas / tau)
-    return _sliding_count(chunks, counts, t_meas, tau)
+        return _binned_count(_chunk_ticks(rng, counts), TICKS // len(counts), t_meas / tau)
+    return _sliding_count(_chunk_ticks(rng, counts), t_meas, tau)
 
 
 def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McConfig,
@@ -292,22 +289,22 @@ def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McC
     earliest arrival, ``sum_d m_d * prod_{j!=d} (m_j * tau / T)``, N times
     the binned mean, less an O(tau / T) edge term.
 
-    The binned count streams: each chunk's occupied windows are intersected
-    across detectors and the windows no later arrival can reach are counted,
-    the boundary window carried into the next chunk.  The sliding count
-    sorts every arrival, as one int64 key holding its tick and its detector,
-    one chunk's slice at a time, keeps the arrivals whose neighbour in that
-    merged order lies within tau (every member of a group does), and counts
-    those exactly with one ``searchsorted`` per anchor and other detector.
-    The detector label has 10 bits, so sliding mode refuses more than 1024
-    detectors; binned mode has no such limit.
+    Both counts walk the chunks alike: a chunk's arrivals become int64 keys
+    ``x << b | d`` (x a window when binned, a tick when sliding, d the
+    detector), sorted once with the keys carried in.  Binned drops repeats,
+    counts the final windows that N keys share and carries the boundary
+    window's keys; sliding keeps the arrivals with a merged neighbour within
+    tau (every group member has one), carries the chunk's last key, and
+    counts the survivors exactly by ``searchsorted``.  The 17-bit label
+    beside a window below 2**46, or the 10-bit one beside a 53-bit tick,
+    caps binned mode at 2**17 detectors and sliding mode at 1024.
 
-    A binned trial holds one chunk; a sliding trial holds its whole record,
-    about 17 bytes per arrival.  The guard charges either mode
-    ``BYTES_PER_EVENT`` times the expected arrivals per trial, ``sum(rate) *
-    t_meas``, times the trials in flight, ``min(workers, trials)``, which is
-    also the pool's process count (a pool starts them all at once); a run
-    above the physical memory is refused before any draw.
+    A trial holds its K x N chunk counts, one chunk and, when sliding, the
+    survivors, about ``events * (1 - exp(-2 * sum(rate) * tau))`` of its
+    ``events = sum(rate) * t_meas``.  The guard charges 8 bytes per chunk
+    count and ``BYTES_PER_EVENT`` per expected arrival held, times the
+    trials in flight, ``min(workers, trials)`` (a pool starts them all at
+    once); a run above the physical memory is refused before any draw.
 
     In either mode the window count ``t_meas / jitter`` may not exceed
     ``MAX_WINDOWS`` = 2**46.  Arrival times have 2**53 levels (the lattice
@@ -327,15 +324,18 @@ def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McC
     if mc.window_mode not in (None, det.window_mode):
         raise ValueError(f"window_mode: McConfig {mc.window_mode.value!r} != spec {det.window_mode.value!r}")
     binned = det.window_mode is WindowMode.BINNED
-    _require(binned or len(rates) <= 2**10, "singles_rate_per_detector",
-             f"sliding mode labels each arrival with 10 bits beside its 53-bit draw, "
-             f"so it counts at most 1024 detectors, got {len(rates)}")
+    bits = 17 if binned else 10  # beside a 46-bit window or a 53-bit tick in one int64 key
+    _require(len(rates) <= 2**bits, "singles_rate_per_detector",
+             f"{det.window_mode.value} mode labels each arrival with {bits} bits, "
+             f"so it counts at most {2**bits} detectors, got {len(rates)}")
     _require(t_meas / tau <= MAX_WINDOWS, "measurement_time_s",
              f"window count {t_meas / tau:.3e} exceeds 2**46, the most the uniform "
              "draw resolves; scale the measurement time down")
     events, in_flight = sum(rates) * t_meas, max(1, min(workers, mc.trials))
-    _require_memory(events * BYTES_PER_EVENT * in_flight, "singles_rate_per_detector",
-                    f"{in_flight} trial(s) in flight of {events:.3e} expected arrivals each")
+    chunks = _chunk_grid(rates, t_meas)
+    held = events / chunks + (0.0 if binned else -events * math.expm1(-2.0 * sum(rates) * tau))
+    _require_memory((8 * chunks * len(rates) + BYTES_PER_EVENT * held) * in_flight,
+                    "singles_rate_per_detector", f"{in_flight} trial(s) of {events:.3e} arrivals in flight")
 
     trial = partial(_uncorrelated_trial, mc.seed, rates, t_meas, tau, binned)
     if in_flight == 1:

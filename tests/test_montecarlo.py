@@ -85,16 +85,28 @@ def test_window_count_guard(jitter_s, t_meas_s, mode):
 
 
 def test_memory_guard_refuses_before_drawing():
-    # 2e13 arrivals per trial: petabytes as an event list, refused up front.
+    # 2e16 arrivals per trial over 2**40 chunks: the K x N chunk counts alone take
+    # 16 TiB, more than any host has, so the run is refused up front.  Rates whose
+    # sum overflows to inf stop the chunk grid at 2**53 chunks, refused alike.
     det = DetectionSpec(1e-3, 10.0)
-    with pytest.raises(ValueError, match="memory"):
-        simulate_uncorrelated([1e12, 1e12], det, McConfig(seed=1, trials=1))
+    for rates in ([1e15, 1e15], [1e308, 1e308]):
+        with pytest.raises(ValueError, match="memory"):
+            simulate_uncorrelated(rates, det, McConfig(seed=1, trials=1))
+
+
+@pytest.mark.parametrize("mode", list(WindowMode), ids=lambda m: m.value)
+def test_memory_guard_charges_what_a_streamed_trial_holds(monkeypatch, mode):
+    # 4e8 arrivals per trial: 15 GiB as a whole-record event list, but a trial holds
+    # 2**14 x 2 chunk counts, one chunk of 2.4e4 arrivals and, when sliding, 1.6e6 survivors.
+    monkeypatch.setattr(montecarlo, "_uncorrelated_trial", lambda *args: 0.0)
+    result = simulate_uncorrelated([1e6, 1e6], DetectionSpec(1e-9, 200.0, mode), McConfig(seed=1, trials=1))
+    assert result.per_trial.tolist() == [0.0]
 
 
 def _sliding(fractions, t_meas, tau):
     """``_sliding_count`` on arrival fractions of the 2**-53 lattice, as the ticks of one chunk."""
     ticks = [(np.asarray(u, dtype=float) * 2.0**53).astype(np.int64) for u in fractions]
-    return montecarlo._sliding_count([ticks], np.array([[t.size for t in ticks]]), t_meas, tau)
+    return montecarlo._sliding_count([ticks], t_meas, tau)
 
 
 def _whole_record_binned_count(ticks, n_windows):
@@ -241,7 +253,7 @@ def test_chunked_sliding_count_matches_searchsorted_count(monkeypatch, dense):
         counts, ticks = _draw(seed, rates, t_meas)
         whole = [np.concatenate(per_detector) * 2.0**-53 for per_detector in zip(*ticks)]
         exact = montecarlo._searchsorted_count(whole, t_meas, tau)
-        assert montecarlo._sliding_count(iter(ticks), counts, t_meas, tau) == exact
+        assert montecarlo._sliding_count(iter(ticks), t_meas, tau) == exact
         found += exact
     assert found > 0.0
 
@@ -259,8 +271,14 @@ _T = 2**53  # ticks per record
     # One window over eight chunks, its arrivals in the first and the last.
     ([[0.01], [0.99], [0.5]], 1.0, 8, 1),
     ([[0.01], [0.99], []], 1.0, 8, 0),
+    # Five detectors, window 1 of 3 straddling the edge: the first chunk's final
+    # window 0 holds 0, 2 or 3 keys, fewer than N - 1, or all 5.
+    ([[0.4], [0.45], [0.55], [0.6], [0.65]], 3.0, 2, 1),
+    ([[0.1, 0.4], [0.2, 0.45], [0.55], [0.6], [0.65]], 3.0, 2, 1),
+    ([[0.1, 0.4], [0.2, 0.45], [0.3, 0.55], [0.6], [0.65]], 3.0, 2, 1),
+    ([[0.1], [0.15], [0.2], [0.25], [0.3]], 3.0, 2, 1),
 ], ids=["partial-last", "partial-last-missed", "straddle-both-sides", "straddle", "eight-chunks",
-        "eight-chunks-silent"])
+        "eight-chunks-silent", "five-none-final", "five-two-final", "five-three-final", "five-full-final"])
 def test_binned_count_at_chunk_edges(fractions, n_windows, chunks, expected):
     span = _T // chunks
     ticks = [(np.array(u, dtype=float) * 2.0**53).astype(np.int64) for u in fractions]
@@ -269,10 +287,11 @@ def test_binned_count_at_chunk_edges(fractions, n_windows, chunks, expected):
     assert montecarlo._binned_count(iter(per_chunk), span, n_windows) == expected
 
 
-def test_binned_trial_holds_one_chunk():
-    # The 180 s benchmark record, 2 x 3.4e6 arrivals: about 167 MB traced as one
-    # event list, a few chunks of 2**15 arrivals when streamed.
-    det = DetectionSpec(156e-12, 180.0)
+@pytest.mark.parametrize("mode", list(WindowMode), ids=lambda m: m.value)
+def test_trial_holds_one_chunk(mode):
+    # The 180 s benchmark record, 2 x 3.4e6 arrivals: 111 to 167 MB traced as one
+    # event list, a chunk of 2**15 arrivals (and a few sliding survivors) when streamed.
+    det = DetectionSpec(156e-12, 180.0, mode)
     tracemalloc.start()
     try:
         simulate_uncorrelated([19.05e3, 19.05e3], det, McConfig(seed=811, trials=1))
@@ -280,6 +299,12 @@ def test_binned_trial_holds_one_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_binned_refuses_more_than_2_to_the_17_detectors():
+    # A binned key holds a window below 2**46 and 17 label bits; refused before any draw.
+    with pytest.raises(ValueError, match="singles_rate_per_detector.*131072"):
+        simulate_uncorrelated([0.0] * (2**17 + 1), DetectionSpec(1e-6, 1.0), McConfig(seed=1, trials=1))
 
 
 def test_sliding_refuses_more_than_1024_detectors():
