@@ -63,20 +63,46 @@ SWEEP_COLUMNS = ("phase_total_rad", "abs_dphi_p_rad", "defined_flag",
 SWEEP_BYTES_PER_ROW = 330
 
 
+def _e(x: float) -> str:
+    # Locale-independent scientific notation, nine significant digits.
+    return f"{x:.8e}"
+
+
+def _table(rows, width=None) -> str:
+    """Render ``(label, value)`` rows as ``label  value`` lines.
+
+    A float value prints through ``_e``, a tuple as its floats
+    comma-joined, and anything else through ``str``; a ``None`` value
+    prints the label alone, for headings and list items.  Labels are
+    left-aligned to ``width`` (default: the widest label).
+    """
+    def text(value):
+        if isinstance(value, float):
+            return _e(value)
+        return ", ".join(map(_e, value)) if isinstance(value, tuple) else str(value)
+
+    if width is None:
+        width = max(len(label) for label, _ in rows)
+    return "\n".join(label if value is None else f"{label:<{width}}  {text(value)}"
+                     for label, value in rows)
+
+
 @dataclass(frozen=True)
 class NoiseBudget:
-    """Assembled noise report for one instrument configuration."""
+    """Assembled noise report for one instrument configuration.
 
+    ``rows`` is the report itself, ordered ``(label, value)`` pairs that
+    :func:`format_budget` renders; the named fields are the values that
+    the other commands compute from.
+    """
+
+    rows: tuple
     noon_order: int
-    transmission: float
-    detector_populations: PhotonPopulations
-    detector_noon_fraction: float
-    pair_rate_hz: float
-    singles_rate_hz: float
     noon_pairs: float
+    singles_rate_hz: float
     spurious: SpuriousCount
-    dark_free_count: float
-    dark_only_count: float
+    effective_pairs: float
+    coherence_total: float
     shot_noise_rad: float
     sagnac_phase_rad: float
     total_phase_rad: float
@@ -84,18 +110,13 @@ class NoiseBudget:
     cusp_shift_rad: float
     undefined_half_width_rad: float
     omega_min_rad_per_s: float
-    coherence_time_s: float
-    chromatic_delay_s: float
-    pmd_delay_s: float
-    coherence_chromatic: float
-    coherence_pmd: float
-    coherence_reciprocal: float
-    base_coherence: float
-    coherence_total: float
-    effective_pairs: float
-    pump_drift_relative: float
-    pump_drift_abs_rad: float
-    max_singles_flux_hz: float
+
+
+def _floor_rows(omega_min_rad_per_s: float) -> list:
+    """The rotation-floor rows that close both ``budget`` and ``omega-min``."""
+    return [("minimum resolvable rotation [rad/s]", omega_min_rad_per_s),
+            ("earth rotation rate [rad/s]", EARTH_RATE_RAD_PER_S),
+            ("resolves earth rate", "yes" if omega_min_rad_per_s < EARTH_RATE_RAD_PER_S else "no")]
 
 
 def assemble_budget(cfg: InstrumentConfig) -> NoiseBudget:
@@ -132,101 +153,61 @@ def assemble_budget(cfg: InstrumentConfig) -> NoiseBudget:
     phi_sl = sagnac_phase(cfg.rotation_rad_per_s, geom)
     point = PhasePoint(phi_sl, cfg.bias_phase_rad)
     shift = phase_shift_spurious(effective_pairs, point.total_rad, order, spurious)
+    if shift.defined:
+        shift_text = (f"{_e(shift.value_rad)}  "
+                      f"(branch sign {shift.branch_sign:+d}, index {shift.branch_index})")
+    else:
+        shift_text = "undefined (bias sits inside an excluded zone; no real shift reproduces the count)"
     drift_rel, drift_abs = pump_drift_phase_error(
         cfg.dispersion.pump_drift_nm_per_degc, cfg.dispersion.pump_temp_stability_degc,
         cfg.spectrum, phi_sl)
+    shot = shot_noise(order, noon_pairs=noon_pairs)
+    cusp = phase_shift_cusp(effective_pairs, order, spurious)
+    half_width = undefined_half_width(effective_pairs, order, spurious)
+    floor = omega_min(geom, order, noon_pairs=noon_pairs)
 
-    return NoiseBudget(
-        noon_order=order,
-        transmission=transmission,
-        detector_populations=at_detector,
-        detector_noon_fraction=fraction,
-        pair_rate_hz=src.pair_rate_hz,
-        singles_rate_hz=singles_rate,
-        noon_pairs=noon_pairs,
-        spurious=spurious,
-        dark_free_count=dark_free.delta_pcc,
-        dark_only_count=dark_only.delta_pcc,
-        shot_noise_rad=shot_noise(order, noon_pairs=noon_pairs),
-        sagnac_phase_rad=phi_sl,
-        total_phase_rad=point.total_rad,
-        phase_shift=shift,
-        cusp_shift_rad=phase_shift_cusp(effective_pairs, order, spurious),
-        undefined_half_width_rad=undefined_half_width(effective_pairs, order, spurious),
-        omega_min_rad_per_s=omega_min(geom, order, noon_pairs=noon_pairs),
-        coherence_time_s=tau,
-        chromatic_delay_s=dt_chr,
-        pmd_delay_s=dt_pmd,
-        coherence_chromatic=c_chr,
-        coherence_pmd=c_pmd,
-        coherence_reciprocal=c_rec,
-        base_coherence=cfg.base_coherence,
-        coherence_total=c_total,
-        effective_pairs=effective_pairs,
-        pump_drift_relative=drift_rel,
-        pump_drift_abs_rad=drift_abs,
-        max_singles_flux_hz=max_singles_flux(src.pair_rate_hz, order, det),
+    rows = (
+        ("entangled order N", order),
+        ("single-photon transmission T", transmission),
+        ("pair fraction at detectors R", fraction),
+        ("populations per source state (pairs, singles)", (at_detector.noon_pairs, at_detector.singles)),
+        ("pair rate at detectors [Hz]", src.pair_rate_hz),
+        ("uncorrelated singles rate [Hz]", singles_rate),
+        ("entangled pairs over t_meas", noon_pairs),
+        ("accidental coincidence rate [Hz]", spurious.rate_hz),
+        ("accidental count over t_meas", spurious.delta_pcc),
+        ("dark-count contribution to count", spurious.delta_pcc - dark_free.delta_pcc),
+        ("dark-only accidental count", dark_only.delta_pcc),
+        ("shot-noise phase [rad]", shot),
+        ("rotation phase [rad]", phi_sl),
+        ("total phase rotation+bias [rad]", point.total_rad),
+        ("accidental phase shift at bias [rad]", shift_text),
+        ("cusp peak phase error [rad]", cusp),
+        ("undefined half-width at maxima [rad]", half_width),
+        ("coherence time [s]", tau),
+        ("chromatic delay [s]", dt_chr),
+        ("pmd delay [s]", dt_pmd),
+        ("coherence factor: chromatic", c_chr),
+        ("coherence factor: pmd", c_pmd),
+        ("coherence factor: reciprocal", c_rec),
+        ("coherence factor: base (measured)", cfg.base_coherence),
+        ("coherence factor: total", c_total),
+        ("effective pairs (coherence-scaled)", effective_pairs),
+        ("pump-drift relative phase error", drift_rel),
+        ("pump-drift absolute error [rad]", drift_abs),
+        *_floor_rows(floor),
+        ("max tolerable singles flux [Hz]", max_singles_flux(src.pair_rate_hz, order, det)),
     )
-
-
-def _e(x: float) -> str:
-    # Locale-independent scientific notation, nine significant digits.
-    return f"{x:.8e}"
-
-
-def _table(rows, width=None) -> str:
-    """Render ``(label, value)`` rows as ``label  value`` lines.
-
-    Labels are left-aligned to ``width`` (default: the widest label); a
-    ``None`` value prints the label alone, for headings and list items.
-    """
-    if width is None:
-        width = max(len(label) for label, _ in rows)
-    return "\n".join(label if value is None else f"{label:<{width}}  {value}"
-                     for label, value in rows)
+    return NoiseBudget(
+        rows=rows, noon_order=order, noon_pairs=noon_pairs, singles_rate_hz=singles_rate,
+        spurious=spurious, effective_pairs=effective_pairs, coherence_total=c_total,
+        shot_noise_rad=shot, sagnac_phase_rad=phi_sl, total_phase_rad=point.total_rad,
+        phase_shift=shift, cusp_shift_rad=cusp, undefined_half_width_rad=half_width,
+        omega_min_rad_per_s=floor)
 
 
 def format_budget(b: NoiseBudget) -> str:
-    if b.phase_shift.defined:
-        shift_line = (f"{_e(b.phase_shift.value_rad)}  "
-                      f"(branch sign {b.phase_shift.branch_sign:+d}, index {b.phase_shift.branch_index})")
-    else:
-        shift_line = "undefined (bias sits inside an excluded zone; no real shift reproduces the count)"
-    return _table([
-        ("entangled order N", str(b.noon_order)),
-        ("single-photon transmission T", _e(b.transmission)),
-        ("pair fraction at detectors R", _e(b.detector_noon_fraction)),
-        ("populations per source state (pairs, singles)",
-         f"{_e(b.detector_populations.noon_pairs)}, {_e(b.detector_populations.singles)}"),
-        ("pair rate at detectors [Hz]", _e(b.pair_rate_hz)),
-        ("uncorrelated singles rate [Hz]", _e(b.singles_rate_hz)),
-        ("entangled pairs over t_meas", _e(b.noon_pairs)),
-        ("accidental coincidence rate [Hz]", _e(b.spurious.rate_hz)),
-        ("accidental count over t_meas", _e(b.spurious.delta_pcc)),
-        ("dark-count contribution to count", _e(b.spurious.delta_pcc - b.dark_free_count)),
-        ("dark-only accidental count", _e(b.dark_only_count)),
-        ("shot-noise phase [rad]", _e(b.shot_noise_rad)),
-        ("rotation phase [rad]", _e(b.sagnac_phase_rad)),
-        ("total phase rotation+bias [rad]", _e(b.total_phase_rad)),
-        ("accidental phase shift at bias [rad]", shift_line),
-        ("cusp peak phase error [rad]", _e(b.cusp_shift_rad)),
-        ("undefined half-width at maxima [rad]", _e(b.undefined_half_width_rad)),
-        ("coherence time [s]", _e(b.coherence_time_s)),
-        ("chromatic delay [s]", _e(b.chromatic_delay_s)),
-        ("pmd delay [s]", _e(b.pmd_delay_s)),
-        ("coherence factor: chromatic", _e(b.coherence_chromatic)),
-        ("coherence factor: pmd", _e(b.coherence_pmd)),
-        ("coherence factor: reciprocal", _e(b.coherence_reciprocal)),
-        ("coherence factor: base (measured)", _e(b.base_coherence)),
-        ("coherence factor: total", _e(b.coherence_total)),
-        ("effective pairs (coherence-scaled)", _e(b.effective_pairs)),
-        ("pump-drift relative phase error", _e(b.pump_drift_relative)),
-        ("pump-drift absolute error [rad]", _e(b.pump_drift_abs_rad)),
-        ("minimum resolvable rotation [rad/s]", _e(b.omega_min_rad_per_s)),
-        ("earth rotation rate [rad/s]", _e(EARTH_RATE_RAD_PER_S)),
-        ("resolves earth rate", "yes" if b.omega_min_rad_per_s < EARTH_RATE_RAD_PER_S else "no"),
-        ("max tolerable singles flux [Hz]", _e(b.max_singles_flux_hz)),
-    ])
+    return _table(b.rows)
 
 
 def sweep_rows(cfg: InstrumentConfig, from_rad: float, to_rad: float, points: int) -> str:
@@ -274,7 +255,7 @@ def format_zones(cfg: InstrumentConfig, threshold: str = "shot") -> str:
                             safe_threshold_rad=safe_threshold)
     rows = [
         ("total-phase range scanned [rad]", f"[{_e(0.0)}, {_e(math.pi)}]"),
-        ("shot-noise threshold [rad]", _e(report.shot_noise_rad)),
+        ("shot-noise threshold [rad]", report.shot_noise_rad),
         ("safe-window threshold [rad]", f"{_e(report.safe_threshold_rad)} ({threshold})"),
         ("cusps (k*pi/N) [rad]:", None),
     ]
@@ -314,37 +295,34 @@ def format_mc(cfg: InstrumentConfig, trials: int, seed: int, scale: float,
     coincidences = simulate_uncorrelated(rates, scaled_det, mc, workers=workers)
     point = PhasePoint(b.sagnac_phase_rad, cfg.bias_phase_rad)
     estimate = simulate_experiment(b.noon_pairs, point, order, b.coherence_total, b.spurious, mc)
-    predicted_line = (_e(b.phase_shift.value_rad) if b.phase_shift.defined
-                      else "undefined (excluded bias zone)")
 
     return _table([
         ("window mode", det.window_mode.value),
         ("trials / seed", f"{trials} / {seed}"),
-        ("scaled measurement time [s]", _e(scaled_det.measurement_time_s)),
-        ("per-detector singles rate [Hz]", _e(rates[0])),
+        ("scaled measurement time [s]", scaled_det.measurement_time_s),
+        ("per-detector singles rate [Hz]", rates[0]),
         ("uncorrelated-coincidence run:", None),
-        ("  mean count", _e(coincidences.mean_coincidences)),
-        ("  variance", _e(coincidences.variance)),
-        ("  analytic prediction", _e(coincidences.analytic_prediction)),
+        ("  mean count", coincidences.mean_coincidences),
+        ("  variance", coincidences.variance),
+        ("  analytic prediction", coincidences.analytic_prediction),
         ("  z-score", f"{coincidences.z_score:+.6f}"),
         (f"phase-estimate run at total phase {_e(b.total_phase_rad)} rad:", None),
         ("  inversion failures", f"{estimate.n_failures} of {estimate.n_trials}"),
-        ("  empirical bias [rad]", _e(estimate.bias_rad)),
-        ("  predicted bias [rad]", predicted_line),
-        ("  empirical spread [rad]", _e(estimate.spread_rad)),
-        ("  shot-noise spread [rad]", _e(b.shot_noise_rad)),
+        ("  empirical bias [rad]", estimate.bias_rad),
+        ("  predicted bias [rad]", b.phase_shift.value_rad if b.phase_shift.defined
+         else "undefined (excluded bias zone)"),
+        ("  empirical spread [rad]", estimate.spread_rad),
+        ("  shot-noise spread [rad]", b.shot_noise_rad),
     ], width=34)
 
 
 def format_omega_min(cfg: InstrumentConfig) -> str:
     b = assemble_budget(cfg)
     return _table([
-        ("entangled order N", str(b.noon_order)),
-        ("photon budget M = N*pairs", _e(b.noon_order * b.noon_pairs)),
-        ("shot-noise phase [rad]", _e(b.shot_noise_rad)),
-        ("minimum resolvable rotation [rad/s]", _e(b.omega_min_rad_per_s)),
-        ("earth rotation rate [rad/s]", _e(EARTH_RATE_RAD_PER_S)),
-        ("resolves earth rate", "yes" if b.omega_min_rad_per_s < EARTH_RATE_RAD_PER_S else "no"),
+        ("entangled order N", b.noon_order),
+        ("photon budget M = N*pairs", b.noon_order * b.noon_pairs),
+        ("shot-noise phase [rad]", b.shot_noise_rad),
+        *_floor_rows(b.omega_min_rad_per_s),
     ])
 
 

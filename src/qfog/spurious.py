@@ -217,15 +217,17 @@ def phase_shift_cusp(pairs: float, order: int, count: SpuriousCount) -> float:
 def undefined_half_width(pairs: float, order: int, count: SpuriousCount) -> float:
     """Half-width of the no-solution interval around coincidence maxima.
 
-    Exact arccosine-domain boundary: ``acos(1 - 2*dpcc/pairs) / N``, or the
-    full half-period ``pi/N`` once the accidental count exceeds the pair
-    count (no bias angle can absorb it anywhere).
+    Exact arccosine-domain boundary ``acos(1 - 2*dpcc/pairs) / N``, written
+    as ``2*asin(sqrt(dpcc/pairs)) / N`` so that it keeps its digits however
+    small the accidental fraction; the full half-period ``pi/N`` once the
+    accidental count reaches the pair count (no bias angle can absorb it
+    anywhere).
     """
     _require(pairs > 0.0, "pairs", "must be > 0")
-    a2 = 2.0 * count.delta_pcc / pairs
-    if a2 >= 2.0:
+    fraction = count.delta_pcc / pairs
+    if fraction >= 1.0:
         return math.pi / order
-    return math.acos(1.0 - a2) / order
+    return 2.0 * math.asin(math.sqrt(fraction)) / order
 
 
 def phase_shift_profile(pairs: float, phase_total_rad, order: int,
@@ -374,6 +376,8 @@ def bias_zone_scan(pairs: float, order: int, count: SpuriousCount,
 
     above_shot, crossings = _hot_intervals(pairs, order, count, shot_noise_rad,
                                            lo, hi, grid, values, defined, boundaries)
+    # A core narrower than a grid cell can fall between grid points.
+    above_shot = _merge_intervals(above_shot + undefined)
     if safe_threshold_rad == shot_noise_rad:
         above_safe = above_shot
     else:

@@ -49,6 +49,53 @@ def test_config_round_trip(bench_dict):
     assert config_from_dict(json.loads(dump_config(cfg))) == cfg
 
 
+def _in(lo, hi):
+    return st.floats(lo, hi, exclude_min=True)
+
+
+DISPERSION_KEYS = ("chromatic_coeff_ps_per_km_nm", "pmd_coeff_ps_per_sqrt_km", "reciprocal_delay_s",
+                   "pump_drift_nm_per_degc", "pump_temp_stability_degc")
+# The keys that have a default, by path; a generated config may leave any out.
+OPTIONAL_KEYS = [("source", "dark_rate_hz"), ("path", "lumped_loss_db"), ("detection", "window_mode"),
+                 ("dispersion",), ("base_coherence",), ("bias_phase_rad",), ("rotation_rad_per_s",),
+                 *(("dispersion", key) for key in DISPERSION_KEYS)]
+
+
+@st.composite
+def valid_config_dicts(draw):
+    jitter, center = draw(_in(0.0, 1e-3)), draw(_in(1e-7, 1e-5))
+    nonneg = st.floats(0.0, 1e6)
+    data = {
+        "geometry": {"fiber_length_m": draw(_in(0.0, 1e6)), "coil_radius_m": draw(_in(0.0, 10.0)),
+                     "wavelength_m": draw(st.floats(1e-7, 1e-5, exclude_min=True, exclude_max=True))},
+        "source": {"noon_order": draw(st.integers(2, 64)), "pair_rate_hz": draw(nonneg),
+                   "initial_noon_fraction": draw(_in(0.0, 1.0)), "dark_rate_hz": draw(nonneg)},
+        "path": {"fiber_loss_db_per_km": draw(nonneg), "lumped_loss_db": draw(nonneg)},
+        "detection": {"jitter_s": jitter, "measurement_time_s": draw(_in(jitter, 1e6)),
+                      "window_mode": draw(st.sampled_from(["binned", "sliding"]))},
+        "spectrum": {"center_wavelength_m": center,
+                     "linewidth_m": draw(st.floats(0.0, center, exclude_min=True, exclude_max=True))},
+        "dispersion": {key: draw(nonneg) for key in DISPERSION_KEYS},
+        "base_coherence": draw(_in(0.0, 1.0)),
+        "bias_phase_rad": draw(st.floats(-10.0, 10.0)),
+        "rotation_rad_per_s": draw(st.floats(-1.0, 1.0)),
+    }
+    for path in draw(st.sets(st.sampled_from(OPTIONAL_KEYS))):
+        (data if len(path) == 1 else data.get(path[0], {})).pop(path[-1], None)
+    return data
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(valid_config_dicts())
+def test_config_round_trip_property(data):
+    cfg = config_from_dict(data)
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(dump_config(cfg))
+        assert load_config(path) == cfg
+
+
 def test_unknown_top_level_key_rejected(bench_dict):
     bench_dict["detectorz"] = {}
     with pytest.raises(ConfigValidationError, match="detectorz"):

@@ -1,6 +1,6 @@
 """Smoke test: the quick demos run to completion and write nothing to stderr.
 
-``04_monte_carlo_check.py`` is left out: it takes about 9 s on a 2-vCPU
+``04_monte_carlo_check.py`` is left out: it takes about 7 s on a 2-vCPU
 host, most of it in binned event counting.
 """
 

@@ -380,3 +380,23 @@ def test_sub_shot_noise_cusp_condition_is_quarter_count():
         noise = shot_noise(order, noon_pairs=pairs)
         assert cusp == pytest.approx(noise, rel=1e-12)
         assert phase_shift_cusp(pairs, order, SpuriousCount.from_count(0.2499, 1.0)) < noise
+
+
+def test_scan_counts_cores_narrower_than_its_grid_above_shot_noise():
+    # At N = 3 and an accidental fraction of 1e-11 the undefined core at
+    # 2*pi/3 is 4e-6 rad wide, and no point of the 7.7e-4 rad grid lands in it.
+    count = SpuriousCount.from_count(1e-11 * PAIRS, 1800.0)
+    report = bias_zone_scan(PAIRS, 3, count, shot_noise(3, noon_pairs=PAIRS))
+    assert len(report.undefined_intervals) == 2
+    for lo, hi in report.undefined_intervals:
+        assert any(a <= lo and hi <= b for a, b in report.above_shot_noise_intervals)
+
+
+@pytest.mark.parametrize("order", [2, 3, 40])
+def test_undefined_half_width_keeps_digits_at_small_fractions(order):
+    # Second order in the fraction x, the half-width is the cusp formula
+    # times 1 + x/6, so below x = 1e-12 the two agree to 1e-12.
+    for exponent in range(-12, -301, -1):
+        count = SpuriousCount.from_count(10.0 ** exponent * PAIRS, 1800.0)
+        assert undefined_half_width(PAIRS, order, count) == pytest.approx(
+            phase_shift_cusp(PAIRS, order, count), rel=1e-12)
