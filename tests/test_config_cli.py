@@ -85,7 +85,7 @@ def valid_config_dicts(draw):
     return data
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=150, deadline=None, database=None)
 @given(valid_config_dicts())
 def test_config_round_trip_property(data):
     cfg = config_from_dict(data)
