@@ -149,6 +149,9 @@ def assemble_budget(cfg: InstrumentConfig) -> NoiseBudget:
     # Reduced visibility makes the same accidental count cost more phase,
     # so the inversion runs against the coherence-scaled pair count.
     effective_pairs = c_total * noon_pairs
+    if not effective_pairs > 0.0:
+        raise ValueError(f"coherence factor: total {_e(c_total)} (chromatic {_e(c_chr)}, pmd {_e(c_pmd)}, "
+                         f"reciprocal {_e(c_rec)}) leaves no fringe visibility to invert")
 
     phi_sl = sagnac_phase(cfg.rotation_rad_per_s, geom)
     point = PhasePoint(phi_sl, cfg.bias_phase_rad)

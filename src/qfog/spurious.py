@@ -25,10 +25,8 @@ import numpy as np
 from .model import DetectionSpec, _require, _require_finite
 from .sagnac import shot_noise
 
-# Residual (in phase-shift radians) below which a threshold crossing from
-# bisection is accepted, and the most halvings bisection takes to reach it.
+# Residual of |dphi| - threshold, in rad, at which bisection accepts a crossing.
 CROSSING_RESIDUAL_RAD = 1e-9
-BISECT_MAX_ITER = 200
 
 # Grid density of bias_zone_scan, in points per pi of range; each grid cell
 # where |dphi| crosses the threshold is then refined by bisection.
@@ -77,9 +75,11 @@ class BiasZoneReport:
     """Landscape of the accidental-count phase error over a bias range.
 
     All intervals are sorted, disjoint and clipped to the scanned range.
-    ``above_shot_noise_intervals`` are the neighborhoods of each cusp where
-    the error magnitude exceeds the shot noise (undefined cores included);
-    ``safe_windows`` is the complement of the undefined and
+    ``undefined_intervals`` are the analytic cores at the coincidence
+    maxima; a core narrower than the float spacing at its centre is not
+    listed.  ``above_shot_noise_intervals`` are the neighborhoods of each
+    cusp where the error magnitude exceeds the shot noise (undefined cores
+    included); ``safe_windows`` is the complement of the undefined and
     above-safe-threshold regions.  ``crossings_rad`` lists the bisected
     shot-noise crossing points themselves.
     """
@@ -250,62 +250,48 @@ def phase_shift_profile(pairs: float, phase_total_rad, order: int,
     return signed, defined
 
 
-def _bisect_crossing(objective, lo: float, hi: float, f_lo: float) -> tuple[float, float]:
-    """Bracketing bisection; returns (root, objective_at_root)."""
-    sign_lo = f_lo > 0.0
-    for _ in range(BISECT_MAX_ITER):
+def _bisect_crossing(f, level: float, lo: float, hi: float) -> float:
+    """Bisect where ``f`` crosses ``level`` in (lo, hi): the first midpoint
+    within ``CROSSING_RESIDUAL_RAD`` of it, else the midpoint of the bracket
+    collapsed to the float spacing."""
+    above_lo = f(lo) > level
+    while hi - lo > 1e-15 * max(1.0, abs(hi)):
         mid = 0.5 * (lo + hi)
-        f_mid = objective(mid)
-        if math.isfinite(f_mid) and abs(f_mid) < CROSSING_RESIDUAL_RAD:
-            return mid, f_mid
-        if (f_mid > 0.0) == sign_lo:
+        f_mid = f(mid)
+        if abs(f_mid - level) < CROSSING_RESIDUAL_RAD:
+            return mid
+        if (f_mid > level) == above_lo:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
-            break
-    mid = 0.5 * (lo + hi)
-    return mid, objective(mid)
+    return 0.5 * (lo + hi)
 
 
 def _merge_intervals(intervals):
+    # Touching within the float spacing joins, as saturated cores' shared edges do.
     out = []
     for lo, hi in sorted(intervals):
-        if out and lo <= out[-1][1] + 1e-15:
+        if out and lo <= out[-1][1] + 1e-15 * max(1.0, abs(out[-1][1])):
             out[-1] = (out[-1][0], max(out[-1][1], hi))
         else:
             out.append((lo, hi))
     return out
 
 
-def _hot_intervals(pairs, order, count, threshold, lo, hi, grid, values, defined, boundaries):
-    """Maximal intervals where |dphi| > threshold or no solution exists.
+def _hot_intervals(magnitude, threshold, grid, profile, cores):
+    """Maximal intervals where the error magnitude exceeds ``threshold``.
 
-    Each grid cell ``(grid[i], grid[i+1])`` where the hot flag flips holds
-    one interval edge, refined once by bisection from ``grid[i]``.  An edge
-    that meets the residual is a threshold crossing; any other edge is where
-    |dphi| jumps to an undefined zone, and snaps to the nearest of
-    ``boundaries``, the analytic core edges.  The range ends ``lo``/``hi``
-    bound intervals that reach them.  Returns (intervals, crossing_points).
+    ``profile`` is ``magnitude`` on ``grid``, continuous because undefined
+    points carry the core half-width.  Each grid cell where it crosses the
+    threshold holds one crossing, which bisection finds; the range ends bound
+    intervals that reach them.  The pairs are merged with ``cores``, the
+    listed undefined intervals.  Returns (intervals, crossing_points).
     """
-    hot = ~defined | (np.abs(np.where(defined, values, np.inf)) > threshold)
-
-    def objective(phi):
-        solution = phase_shift_spurious(pairs, phi, order, count)
-        return (abs(solution.value_rad) if solution.defined else math.inf) - threshold
-
-    edges = [lo] if hot[0] else []
-    crossings = []
-    for i in np.flatnonzero(hot[1:] != hot[:-1]):
-        edge, resid = _bisect_crossing(objective, grid[i], grid[i + 1], objective(grid[i]))
-        if abs(resid) < CROSSING_RESIDUAL_RAD:
-            crossings.append(edge)
-        else:
-            edge = min(boundaries, key=lambda b: abs(b - edge), default=edge)
-        edges.append(edge)
-    if hot[-1]:
-        edges.append(hi)
-    return _merge_intervals(zip(edges[::2], edges[1::2])), sorted(crossings)
+    hot = profile > threshold
+    crossings = [_bisect_crossing(magnitude, threshold, grid[i], grid[i + 1])
+                 for i in np.flatnonzero(hot[1:] != hot[:-1])]
+    edges = ([float(grid[0])] if hot[0] else []) + crossings + ([float(grid[-1])] if hot[-1] else [])
+    return _merge_intervals([*zip(edges[::2], edges[1::2]), *cores]), crossings
 
 
 def _complement(intervals, lo, hi):
@@ -339,9 +325,13 @@ def bias_zone_scan(pairs: float, order: int, count: SpuriousCount,
         Threshold defining the safe windows; defaults to the shot noise.
         Pass a tenth of the shot noise for the stricter landscape.
 
-    The range is sampled at ``SCAN_POINTS_PER_PI`` points per pi, and the
-    threshold crossings bounding each noisy interval are refined by
-    bisection to a residual below ``CROSSING_RESIDUAL_RAD``.
+    |dphi| rises to exactly the undefined half-width w at every cusp, so
+    with w in the undefined cores it is continuous.  It is sampled at
+    ``SCAN_POINTS_PER_PI`` points per pi and at every cusp and optimal
+    point, and each threshold crossing is bisected to a residual below
+    ``CROSSING_RESIDUAL_RAD``.  The cores ``2*k*pi/N -+ w``, clipped to the
+    range, are listed where their ends differ as floats: a core narrower
+    than the float spacing at its centre is not listed.
     """
     lo, hi = phase_range
     _require(hi > lo, "phase_range", "must be an increasing (lo, hi) pair")
@@ -351,45 +341,40 @@ def bias_zone_scan(pairs: float, order: int, count: SpuriousCount,
         safe_threshold_rad = shot_noise_rad
     _require(safe_threshold_rad > 0.0, "safe_threshold_rad", "must be > 0")
 
-    n_points = max(2, int(math.ceil((hi - lo) / math.pi * SCAN_POINTS_PER_PI)) + 1)
-    grid = np.linspace(lo, hi, n_points)
-    values, defined = phase_shift_profile(pairs, grid, order, count)
-
     cell = math.pi / order
     cusps = [k * cell for k in range(math.ceil(lo / cell - 1e-12), math.floor(hi / cell + 1e-12) + 1)]
     optimal = [0.5 * cell + k * cell
                for k in range(math.ceil((lo - 0.5 * cell) / cell - 1e-12),
                               math.floor((hi - 0.5 * cell) / cell + 1e-12) + 1)]
 
-    # Undefined cores around every coincidence maximum that reaches the
-    # range, unclipped: their edges are where scan edges get snapped.
+    # Undefined cores at the coincidence maxima; saturated (w = pi/N) they tile the range.
     width = undefined_half_width(pairs, order, count)
-    cores = []
-    if width > 0.0:
-        cores = [(2.0 * cell * k - width, 2.0 * cell * k + width)
-                 for k in range(math.floor(lo / (2.0 * cell)) - 1, math.ceil(hi / (2.0 * cell)) + 2)]
-    if 2.0 * count.delta_pcc / pairs >= 2.0:
-        undefined = [(lo, hi)]
-    else:
-        undefined = [(max(a, lo), min(b, hi)) for a, b in cores if b > lo and a < hi]
-    boundaries = [edge for core in cores for edge in core]
+    clipped = [(max(2.0 * cell * k - width, lo), min(2.0 * cell * k + width, hi))
+               for k in range(math.floor(lo / (2.0 * cell)), math.ceil(hi / (2.0 * cell)) + 1)]
+    undefined = _merge_intervals((a, b) for a, b in clipped if a < b)
 
-    above_shot, crossings = _hot_intervals(pairs, order, count, shot_noise_rad,
-                                           lo, hi, grid, values, defined, boundaries)
-    # A core narrower than a grid cell can fall between grid points.
-    above_shot = _merge_intervals(above_shot + undefined)
-    if safe_threshold_rad == shot_noise_rad:
-        above_safe = above_shot
-    else:
-        above_safe, _ = _hot_intervals(pairs, order, count, safe_threshold_rad,
-                                       lo, hi, grid, values, defined, boundaries)
-    safe = _complement(_merge_intervals(above_safe + undefined), lo, hi)
+    def magnitude(phi):
+        solution = phase_shift_spurious(pairs, phi, order, count)
+        return abs(solution.value_rad) if solution.defined else width
+
+    # |dphi| peaks at the cusps and dips at the optimal points, so with those
+    # among the samples every cell is monotone and holds at most one crossing.
+    n_points = max(2, int(math.ceil((hi - lo) / math.pi * SCAN_POINTS_PER_PI)) + 1)
+    grid = np.linspace(lo, hi, n_points)
+    extra = np.clip(sorted(cusps + optimal), lo, hi)
+    grid = np.insert(grid, np.searchsorted(grid, extra), extra)
+    signed, defined = phase_shift_profile(pairs, grid, order, count)
+    profile = np.where(defined, np.abs(signed), width)
+
+    above_shot, crossings = _hot_intervals(magnitude, shot_noise_rad, grid, profile, undefined)
+    above_safe = (above_shot if safe_threshold_rad == shot_noise_rad
+                  else _hot_intervals(magnitude, safe_threshold_rad, grid, profile, undefined)[0])
 
     return BiasZoneReport(
         cusp_locations=tuple(cusps),
         undefined_intervals=tuple(undefined),
         above_shot_noise_intervals=tuple(above_shot),
-        safe_windows=tuple(safe),
+        safe_windows=tuple(_complement(above_safe, lo, hi)),
         optimal_bias_points=tuple(optimal),
         shot_noise_rad=float(shot_noise_rad),
         safe_threshold_rad=float(safe_threshold_rad),

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfog import bias_zone_scan
 from qfog.cli import assemble_budget, main, sweep_rows
 from qfog.config import (
     ConfigParseError,
@@ -185,6 +186,18 @@ def test_zero_pair_rate_exits_4(command, tmp_path, bench_dict, capsys):
     assert "pair_rate_hz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["budget", "zones", "omega-min", "sweep", "mc"])
+def test_coherence_underflow_exits_4_naming_the_total_factor(command, tmp_path, bench_dict, capsys):
+    # A 1.5 um linewidth over 2 km: the chromatic and PMD factors
+    # exp(-3.5*(dt/tau)**2) underflow to 0, so no pair is left to invert.
+    bench_dict["spectrum"]["linewidth_m"] = 1.5e-6
+    extra = SWEEP_ARGS + ["--out", str(tmp_path / "s.csv")] if command == "sweep" else []
+    assert main([command, "--config", _write(tmp_path, bench_dict), *extra]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "coherence factor: total 0.00000000e+00" in captured.err
+
+
 @pytest.mark.parametrize("args, named", [
     (["sweep", "--from", "0.0", "--to", "1.0", "--points", "1", "--out", "s.csv"], "points"),
     (["sweep", *SWEEP_ARGS, "--out", "."], "cannot write sweep CSV"),
@@ -351,6 +364,26 @@ def test_zones_output(capsys):
     assert "7.85398163e-01" in out  # pi/4 optimal bias point
     assert main(["zones", "--config", str(BENCH_CONFIG), "--threshold", "tenth"]) == 0
     capsys.readouterr()
+
+
+def test_zones_list_only_cores_the_floats_resolve(tmp_path, bench_dict, capsys):
+    # At N = 40 the half-width w is 1.7e-135 rad: every core but the one at 0
+    # is narrower than the float spacing at its centre, so [0, w] is the one
+    # undefined interval and the safe window is not split.
+    bench_dict["source"]["noon_order"] = 40
+    path = _write(tmp_path, bench_dict)
+    b = assemble_budget(load_config(path))
+    w = b.undefined_half_width_rad
+    assert f"{w:.8e}" == "1.74827832e-135"
+    report = bias_zone_scan(b.effective_pairs, 40, b.spurious, b.shot_noise_rad)
+    assert report.undefined_intervals == ((0.0, w),)
+    assert report.above_shot_noise_intervals == ((0.0, w),)
+    assert report.safe_windows == ((w, math.pi),)
+    assert main(["zones", "--config", path]) == 0
+    assert ("undefined intervals (no real solution) [rad]:\n  [0.00000000e+00, 1.74827832e-135]\n"
+            "above-shot-noise intervals [rad]:\n  [0.00000000e+00, 1.74827832e-135]\n"
+            "safe windows (|dphi| < threshold) [rad]:\n  [1.74827832e-135, 3.14159265e+00]\n"
+            "optimal bias points") in capsys.readouterr().out
 
 
 def test_zones_trivial_config(tmp_path, bench_dict, capsys):

@@ -17,6 +17,7 @@ from qfog import (
     spurious_coincidences_per_detector,
     undefined_half_width,
 )
+from qfog.spurious import CROSSING_RESIDUAL_RAD
 
 # Two-photon half-hour benchmark: 4 kHz pair flux, 38 kHz uncorrelated flux,
 # 156 ps jitter.
@@ -319,8 +320,8 @@ def test_scan_tenth_threshold_shrinks_safe_windows(benchmark_scan):
 
 
 def test_scan_threshold_above_cusp_peak_leaves_only_undefined_zones():
-    # No bias point reaches the threshold, so every hot edge borders an
-    # undefined zone and snaps to its analytic edge.
+    # No bias point reaches the threshold, so nothing crosses it and the
+    # hot intervals are the analytic undefined cores alone.
     threshold = 1.5 * undefined_half_width(PAIRS, 2, COUNT)
     report = bias_zone_scan(PAIRS, 2, COUNT, threshold, phase_range=(-0.5, math.pi + 0.5))
     assert report.crossings_rad == ()
@@ -345,6 +346,10 @@ def test_scan_with_overwhelming_count():
     report = bias_zone_scan(PAIRS, 2, SpuriousCount.from_count(3.0 * PAIRS, 1.0), SHOT)
     assert report.undefined_intervals == ((0.0, math.pi),)
     assert report.safe_windows == ()
+    # The saturated cores tile any range, also where their shared edges,
+    # computed from two centres, differ in the last bit.
+    far = bias_zone_scan(PAIRS, 34, SpuriousCount.from_count(PAIRS, 1.0), SHOT, phase_range=(-26.8, -19.1))
+    assert far.undefined_intervals == far.above_shot_noise_intervals == ((-26.8, -19.1),)
 
 
 def test_max_flux_zero_pairs():
@@ -400,3 +405,69 @@ def test_undefined_half_width_keeps_digits_at_small_fractions(order):
         count = SpuriousCount.from_count(10.0 ** exponent * PAIRS, 1800.0)
         assert undefined_half_width(PAIRS, order, count) == pytest.approx(
             phase_shift_cusp(PAIRS, order, count), rel=1e-12)
+
+
+def test_scan_finds_hot_cusps_narrower_than_its_grid():
+    # At N = 3 and half the cusp peak the hot intervals around the
+    # coincidence minima at pi/3 and pi are about 7e-5 rad wide, well inside
+    # one 7.7e-4 rad grid cell, and the shoulders of the cores at 0 and 2*pi/3
+    # are as narrow: one crossing at each range end, two at each inner cusp.
+    count = SpuriousCount.from_count(1e-8 * PAIRS, 1800.0)
+    threshold = 0.5 * undefined_half_width(PAIRS, 3, count)
+    report = bias_zone_scan(PAIRS, 3, count, threshold)
+    assert len(report.crossings_rad) == 6
+    for cusp in report.cusp_locations:
+        assert any(lo < cusp < hi or lo == cusp == 0.0 or hi == cusp == math.pi
+                   for lo, hi in report.above_shot_noise_intervals)
+    for (_, hi1), (lo2, _) in zip(report.above_shot_noise_intervals, report.safe_windows):
+        assert hi1 == lo2
+
+
+def _oracle_case(i):
+    """Seeded scan i: N up to 40 (every fourth at 40), a threshold above the
+    cusp peak (every third), an accidental count at or above the pair count
+    (every sixth) and a range that does not start at 0."""
+    rng = np.random.default_rng([20251019, i])
+    order = 40 if i % 4 == 0 else int(rng.integers(2, 40))
+    pairs = float(10.0 ** rng.uniform(2.0, 9.0))
+    fraction = float(rng.uniform(1.0, 3.2) if i % 6 == 1 else 10.0 ** rng.uniform(-14.0, -0.5))
+    count = SpuriousCount.from_count(fraction * pairs, 1800.0)
+    if i % 3 == 0:
+        threshold = 1.5 * undefined_half_width(pairs, order, count)
+    else:
+        threshold = shot_noise(order, noon_pairs=pairs) * float(10.0 ** rng.uniform(-1.0, 1.5))
+    lo = float(rng.uniform(-1.0, 1.0))
+    safe = None if i % 2 else threshold * float(10.0 ** rng.uniform(-1.0, 0.5))
+    return pairs, order, count, threshold, (lo, lo + float(rng.uniform(0.5, 4.0))), safe
+
+
+@pytest.mark.parametrize("case", range(96))
+def test_scan_agrees_with_a_denser_offset_grid(case):
+    # Every point of an independent grid, three times denser and offset from
+    # the scan's, is listed exactly where the inversion puts it: above the
+    # threshold when undefined or |dphi| exceeds it, safe when below the safe
+    # threshold.  Points within 1e-6 rad of an edge, or whose |dphi| lies
+    # within the crossing residual of the threshold, may fall either way.
+    pairs, order, count, threshold, phase_range, safe = _oracle_case(case)
+    report = bias_zone_scan(pairs, order, count, threshold, phase_range, safe)
+    lo, hi = phase_range
+    n = int(math.ceil((hi - lo) / math.pi * 3 * 4096))
+    grid = lo + (np.arange(n) + 0.3183) * (hi - lo) / n
+    signed, defined = phase_shift_profile(pairs, grid, order, count)
+    magnitude = np.where(defined, np.abs(signed), np.inf)
+    for level, intervals, truth in (
+            (threshold, report.above_shot_noise_intervals, magnitude > threshold),
+            (report.safe_threshold_rad, report.safe_windows, magnitude < report.safe_threshold_rad),
+            (np.inf, report.undefined_intervals, ~defined)):
+        edges = np.sort([lo, hi, *(edge for interval in intervals for edge in interval)])
+        j = np.clip(np.searchsorted(edges, grid), 1, len(edges) - 1)
+        far = np.minimum(grid - edges[j - 1], edges[j] - grid) > 1e-6
+        clear = ~defined | (np.abs(np.abs(signed) - level) >= CROSSING_RESIDUAL_RAD)
+        listed = np.zeros(n, dtype=bool)
+        for a, b in intervals:
+            listed |= (grid > a) & (grid < b)
+        assert np.array_equal(listed[far & clear], truth[far & clear])
+    for phi in report.crossings_rad:
+        solution = phase_shift_spurious(pairs, phi, order, count)
+        assert solution.defined
+        assert abs(abs(solution.value_rad) - threshold) < CROSSING_RESIDUAL_RAD
