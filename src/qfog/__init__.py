@@ -8,6 +8,10 @@ phase errors and safe bias windows (:mod:`qfog.spurious`), coherence and
 drift corrections (:mod:`qfog.dispersion`), and an event-stream Monte
 Carlo oracle (:mod:`qfog.montecarlo`).  A batch CLI (:mod:`qfog.cli`)
 drives everything from JSON instrument configs.
+
+The Monte Carlo names (``McConfig`` to ``simulate_uncorrelated``) load
+:mod:`qfog.montecarlo` on first use, so ``import qfog`` and the analytic
+budget load no NumPy.
 """
 
 from .model import (
@@ -52,16 +56,19 @@ from .dispersion import (
     pmd_delay,
     pump_drift_phase_error,
 )
-from .montecarlo import (
-    McConfig,
-    McResult,
-    PhaseEstimateResult,
-    rng_stream,
-    simulate_experiment,
-    simulate_uncorrelated,
-)
 
 __version__ = "0.1.0"
+
+_MONTECARLO = ("McConfig", "McResult", "PhaseEstimateResult", "rng_stream",
+               "simulate_experiment", "simulate_uncorrelated")
+
+
+def __getattr__(name):
+    if name in _MONTECARLO:
+        from . import montecarlo
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "EARTH_RATE_RAD_PER_S",

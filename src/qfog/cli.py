@@ -18,12 +18,9 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .config import ConfigParseError, ConfigValidationError, InstrumentConfig, load_config
 from .dispersion import chromatic_delay, coherence_factor, coherence_time, pmd_delay, pump_drift_phase_error
-from .model import EARTH_RATE_RAD_PER_S, PhasePoint, _require_memory
-from .montecarlo import McConfig, simulate_experiment, simulate_uncorrelated
+from .model import EARTH_RATE_RAD_PER_S, PhasePoint, _require_finite, _require_memory
 from .propagation import (
     PhotonPopulations,
     fiber_transmission,
@@ -58,9 +55,10 @@ REFERENCE_CROSSING_MRAD = 14.0
 SWEEP_COLUMNS = ("phase_total_rad", "abs_dphi_p_rad", "defined_flag",
                  "shot_noise_rad", "shot_noise_tenth_rad", "dphi_p0_rad")
 
-# Peak memory per sweep row: the grid, the profile and the CSV text
-# (77 bytes of it) measured 316-322 bytes per row, rounded up.
-SWEEP_BYTES_PER_ROW = 330
+# Peak memory per sweep row: the grid, the profile, its values as Python
+# floats and the CSV text (77 bytes of it) measured 319 bytes per row at
+# 1e6 rows and up to 358 at 1e5, rounded up.
+SWEEP_BYTES_PER_ROW = 360
 
 
 def _e(x: float) -> str:
@@ -219,12 +217,15 @@ def sweep_rows(cfg: InstrumentConfig, from_rad: float, to_rad: float, points: in
     Columns are fixed (see ``SWEEP_COLUMNS``); undefined grid points carry
     an empty error field and a 0 flag.  Output is locale-independent and
     bit-stable across runs.  ``points`` is bounded by the physical memory
-    at ``SWEEP_BYTES_PER_ROW`` per row (about 2.6e7 rows per 8 GiB), and a
+    at ``SWEEP_BYTES_PER_ROW`` per row (about 2.4e7 rows per 8 GiB), and a
     larger count is refused before anything is allocated.
     """
+    import numpy as np
     if points < 2:
         raise ValueError(f"points: need at least 2, got {points}")
     _require_memory(points * SWEEP_BYTES_PER_ROW, "points", f"{points} sweep rows")
+    _require_finite(from_rad, "--from")
+    _require_finite(to_rad, "--to")
     if not to_rad > from_rad:
         raise ValueError("sweep range: --from must be strictly below --to")
     b = assemble_budget(cfg)
@@ -233,9 +234,8 @@ def sweep_rows(cfg: InstrumentConfig, from_rad: float, to_rad: float, points: in
     # Shot noise, its tenth and the cusp error are the same on every row.
     constants = f"{_e(b.shot_noise_rad)},{_e(0.1 * b.shot_noise_rad)},{_e(b.cusp_shift_rad)}"
     lines = [",".join(SWEEP_COLUMNS)]
-    for phi, value, ok in zip(grid, signed, defined):
-        err = _e(abs(value)) if ok else ""
-        lines.append(f"{_e(float(phi))},{err},{1 if ok else 0},{constants}")
+    lines += [f"{phi:.8e},{abs(value):.8e},1,{constants}" if ok else f"{phi:.8e},,0,{constants}"
+              for phi, value, ok in zip(grid.tolist(), signed.tolist(), defined.tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -286,6 +286,7 @@ def format_zones(cfg: InstrumentConfig, threshold: str = "shot") -> str:
 
 def format_mc(cfg: InstrumentConfig, trials: int, seed: int, scale: float,
               workers: int = 1) -> str:
+    from .montecarlo import McConfig, simulate_experiment, simulate_uncorrelated
     if not 0.0 < scale <= 1.0:
         raise ValueError(f"scale: must lie in (0, 1], got {scale}")
     det = cfg.detection

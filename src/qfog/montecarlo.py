@@ -19,7 +19,6 @@ B = ``EXPERIMENT_BLOCK``.  Aggregation uses only order-insensitive reductions.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -274,7 +273,8 @@ def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McC
     mc : McConfig
         Seed and trial count; a ``window_mode`` given there must equal the spec's.
     workers : int
-        Process count for trial execution, capped at ``trials``; does not
+        Process count for trial execution, at least 1 and capped at
+        ``trials``; a process pool starts only for more than one.  Does not
         affect results, but each extra process holds one more trial in memory.
 
     Notes
@@ -331,7 +331,8 @@ def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McC
     _require(t_meas / tau <= MAX_WINDOWS, "measurement_time_s",
              f"window count {t_meas / tau:.3e} exceeds 2**46, the most the uniform "
              "draw resolves; scale the measurement time down")
-    events, in_flight = sum(rates) * t_meas, max(1, min(workers, mc.trials))
+    _require(workers >= 1, "workers", f"must be >= 1, got {workers}")
+    events, in_flight = sum(rates) * t_meas, min(workers, mc.trials)
     chunks = _chunk_grid(rates, t_meas)
     held = events / chunks + (0.0 if binned else -events * math.expm1(-2.0 * sum(rates) * tau))
     _require_memory((8 * chunks * len(rates) + BYTES_PER_EVENT * held) * in_flight,
@@ -341,6 +342,7 @@ def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McC
     if in_flight == 1:
         counts = [trial(i) for i in range(mc.trials)]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=in_flight) as pool:
             counts = list(pool.map(trial, range(mc.trials), chunksize=max(1, mc.trials // (4 * in_flight))))
     binned_prediction = spurious_coincidences_per_detector([r * t_meas for r in rates], det).delta_pcc

@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import DetectionSpec, _require, _require_finite
 from .sagnac import shot_noise
 
@@ -164,13 +162,14 @@ def _minimal_branch(theta, scaled):
     ``theta`` is the arccosine of the target fringe value and ``scaled`` the
     current N*phi; either may be a float or an array.  Returns the signed
     scaled shift N*dphi, wrapped into [-pi, pi), and whether the +theta
-    branch gave it; ties go to +theta.  Python floats stay Python floats,
-    which keeps the scalar inversion cheap.
+    branch gave it; ties go to +theta.  Scalars, NumPy's included, take the
+    plain ``if``, which keeps the scalar inversion cheap and NumPy-free.
     """
     plus = (theta - scaled + math.pi) % TWO_PI - math.pi
     minus = (-theta - scaled + math.pi) % TWO_PI - math.pi
     use_plus = abs(plus) <= abs(minus)
-    if isinstance(use_plus, np.ndarray):
+    if getattr(use_plus, "ndim", 0):
+        import numpy as np
         return np.where(use_plus, plus, minus), use_plus
     return (plus if use_plus else minus), use_plus
 
@@ -239,6 +238,7 @@ def phase_shift_profile(pairs: float, phase_total_rad, order: int,
     The same inversion as :func:`phase_shift_spurious`, evaluated with
     NumPy over the whole array at once.
     """
+    import numpy as np
     _require(pairs > 0.0, "pairs", "must be > 0")
     phases = np.asarray(phase_total_rad, dtype=float)
     scaled = order * phases
@@ -289,7 +289,7 @@ def _hot_intervals(magnitude, threshold, grid, profile, cores):
     """
     hot = profile > threshold
     crossings = [_bisect_crossing(magnitude, threshold, grid[i], grid[i + 1])
-                 for i in np.flatnonzero(hot[1:] != hot[:-1])]
+                 for i in (hot[1:] != hot[:-1]).nonzero()[0]]
     edges = ([float(grid[0])] if hot[0] else []) + crossings + ([float(grid[-1])] if hot[-1] else [])
     return _merge_intervals([*zip(edges[::2], edges[1::2]), *cores]), crossings
 
@@ -333,6 +333,7 @@ def bias_zone_scan(pairs: float, order: int, count: SpuriousCount,
     range, are listed where their ends differ as floats: a core narrower
     than the float spacing at its centre is not listed.
     """
+    import numpy as np
     lo, hi = phase_range
     _require(hi > lo, "phase_range", "must be an increasing (lo, hi) pair")
     _require_finite(shot_noise_rad, "shot_noise_rad")

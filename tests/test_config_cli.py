@@ -3,6 +3,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qfog
 from qfog import bias_zone_scan
 from qfog.cli import assemble_budget, main, sweep_rows
 from qfog.config import (
@@ -203,11 +207,44 @@ def test_coherence_underflow_exits_4_naming_the_total_factor(command, tmp_path, 
     (["sweep", *SWEEP_ARGS, "--out", "."], "cannot write sweep CSV"),
     (["mc", "--scale", "0"], "scale"),
     (["mc", "--scale", "1.5"], "scale"),
-], ids=["sweep-one-point", "sweep-out-is-directory", "mc-scale-zero", "mc-scale-above-one"])
+    (["sweep", "--from", "0.0", "--to", "inf", "--points", "5", "--out", "s.csv"], "--to:"),
+    (["sweep", "--from=-inf", "--to", "1.0", "--points", "5", "--out", "s.csv"], "--from:"),
+    (["sweep", "--from", "nan", "--to", "1.0", "--points", "5", "--out", "s.csv"], "--from:"),
+    (["mc", "--workers", "0"], "workers"),
+    (["mc", "--workers", "-3"], "workers"),
+], ids=["sweep-one-point", "sweep-out-is-directory", "mc-scale-zero", "mc-scale-above-one",
+        "sweep-to-inf", "sweep-from-minus-inf", "sweep-from-nan", "mc-workers-zero", "mc-workers-negative"])
 def test_bad_command_arguments_exit_4(args, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main([args[0], "--config", str(BENCH_CONFIG), *args[1:]]) == 4
     assert named in capsys.readouterr().err
+
+
+# The modules a command loads of those that cost start-up time: the analytic
+# reports need no NumPy, and a process pool starts only for --workers > 1.
+HEAVY_MODULES = ("numpy", "qfog.montecarlo", "concurrent.futures.process")
+LOADED = {"budget": set(), "omega-min": set(), "zones": {"numpy"}, "sweep": {"numpy"},
+          "mc": {"numpy", "qfog.montecarlo"}}
+IMPORT_PROBE = """import contextlib, io, sys
+from qfog.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sys.modules)
+"""
+
+
+def test_commands_import_only_what_they_compute_with(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    extra = {"sweep": [*SWEEP_ARGS, "--out", str(tmp_path / "s.csv")], "mc": ["--trials", "2", "--workers", "1"]}
+    for command, loaded in LOADED.items():
+        argv = [command, "--config", str(BENCH_CONFIG), *extra.get(command, [])]
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], env=env, capture_output=True,
+                              text=True, check=True, timeout=120)
+        code, *modules = proc.stdout.split()
+        assert code == "0", proc.stderr
+        assert {m for m in HEAVY_MODULES if m in modules} == loaded, command
+    assert all(hasattr(qfog, name) for name in qfog.__all__)
+    assert qfog.simulate_uncorrelated is qfog.montecarlo.simulate_uncorrelated
 
 
 # Values that sit at or past the edge of what some config key accepts.

@@ -394,7 +394,7 @@ class _SerialPool:
 def test_pool_is_sized_by_trials_in_flight(monkeypatch, workers, trials, size):
     # A pool starts all its processes at once: never more than there are trials.
     monkeypatch.setattr(_SerialPool, "sizes", [])
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
     det, mc = DetectionSpec(1e-6, 1.0), McConfig(seed=41, trials=trials)
     pooled = simulate_uncorrelated([3000.0, 3000.0], det, mc, workers=workers)
     assert _SerialPool.sizes == ([] if size is None else [size])
