@@ -43,8 +43,9 @@ def _require_memory(nbytes: float, field: str, what: str) -> None:
 
 
 def _require_finite(value: float, field: str) -> None:
-    _require(isinstance(value, (int, float)) and math.isfinite(value),
-             field, f"must be a finite number, got {value!r}")
+    # The message is formatted only on failure: the scalar inversion calls this twice.
+    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        raise ValueError(f"{field}: must be a finite number, got {value!r}")
 
 
 class WindowMode(Enum):

@@ -18,17 +18,23 @@ reported as undefined, never clamped.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .model import DetectionSpec, _require, _require_finite
+from .model import DetectionSpec, _require, _require_finite, _require_memory
 from .sagnac import shot_noise
 
 # Residual of |dphi| - threshold, in rad, at which bisection accepts a crossing.
 CROSSING_RESIDUAL_RAD = 1e-9
 
-# Grid density of bias_zone_scan, in points per pi of range; each grid cell
-# where |dphi| crosses the threshold is then refined by bisection.
+# Lattice density of bias_zone_scan, in points per pi of range.  The lattice
+# only seeds the bisection brackets; it is kept so that the pinned output
+# bytes hold until the benchmark's digests are captured again.
 SCAN_POINTS_PER_PI = 4096
+
+# Peak memory of bias_zone_scan per half-period pi/N of range, measured up to
+# 787 bytes with two crossings of each of two thresholds in every one.
+SCAN_BYTES_PER_CELL = 800
 
 TWO_PI = 2.0 * math.pi
 
@@ -278,19 +284,31 @@ def _merge_intervals(intervals):
     return out
 
 
-def _hot_intervals(magnitude, threshold, grid, profile, cores):
+def _hot_intervals(magnitude, threshold, sample, ends, values, cores):
     """Maximal intervals where the error magnitude exceeds ``threshold``.
 
-    ``profile`` is ``magnitude`` on ``grid``, continuous because undefined
-    points carry the core half-width.  Each grid cell where it crosses the
-    threshold holds one crossing, which bisection finds; the range ends bound
+    ``sample(j)`` is point j of the scan lattice, ``ends`` the sorted
+    lattice indices between which the magnitude is monotone, and ``values``
+    the magnitude there.  So a segment between consecutive ends holds a
+    crossing only when its end values straddle the threshold; a binary
+    search over the segment's lattice points finds the one cell that holds
+    it, and bisection finds the crossing in that cell.  The range ends bound
     intervals that reach them.  The pairs are merged with ``cores``, the
     listed undefined intervals.  Returns (intervals, crossing_points).
     """
-    hot = profile > threshold
-    crossings = [_bisect_crossing(magnitude, threshold, grid[i], grid[i + 1])
-                 for i in (hot[1:] != hot[:-1]).nonzero()[0]]
-    edges = ([float(grid[0])] if hot[0] else []) + crossings + ([float(grid[-1])] if hot[-1] else [])
+    hot = [v > threshold for v in values]
+    crossings = []
+    for a, b, left, right in zip(ends, ends[1:], hot, hot[1:]):
+        if left == right:
+            continue
+        while b - a > 1:
+            mid = (a + b) // 2
+            if (magnitude(sample(mid)) > threshold) == left:
+                a = mid
+            else:
+                b = mid
+        crossings.append(_bisect_crossing(magnitude, threshold, sample(a), sample(b)))
+    edges = ([sample(ends[0])] if hot[0] else []) + crossings + ([sample(ends[-1])] if hot[-1] else [])
     return _merge_intervals([*zip(edges[::2], edges[1::2]), *cores]), crossings
 
 
@@ -326,16 +344,22 @@ def bias_zone_scan(pairs: float, order: int, count: SpuriousCount,
         Pass a tenth of the shot noise for the stricter landscape.
 
     |dphi| rises to exactly the undefined half-width w at every cusp, so
-    with w in the undefined cores it is continuous.  It is sampled at
-    ``SCAN_POINTS_PER_PI`` points per pi and at every cusp and optimal
-    point, and each threshold crossing is bisected to a residual below
-    ``CROSSING_RESIDUAL_RAD``.  The cores ``2*k*pi/N -+ w``, clipped to the
-    range, are listed where their ends differ as floats: a core narrower
-    than the float spacing at its centre is not listed.
+    with w in the undefined cores it is continuous.  Between two cusps it
+    falls to one minimum, where ``cos(N*phi) = -dpcc/pairs``.  It is
+    evaluated at the range ends, the cusps, the optimal points and the two
+    lattice points around each minimum; only a segment between these whose
+    ends straddle a threshold holds a crossing, bisected to a residual below
+    ``CROSSING_RESIDUAL_RAD`` from the lattice cell that holds it.  The cores
+    ``2*k*pi/N -+ w``, clipped to the range, are listed where their ends
+    differ as floats: a core narrower than the float spacing at its centre
+    is not listed.  Both range ends must be finite, and a range that would
+    need more than the physical memory at ``SCAN_BYTES_PER_CELL`` per
+    half-period is refused before anything is listed.
     """
-    import numpy as np
     lo, hi = phase_range
     _require(hi > lo, "phase_range", "must be an increasing (lo, hi) pair")
+    _require_finite(lo, "phase_range")
+    _require_finite(hi, "phase_range")
     _require_finite(shot_noise_rad, "shot_noise_rad")
     _require(shot_noise_rad > 0.0, "shot_noise_rad", "must be > 0")
     if safe_threshold_rad is None:
@@ -343,6 +367,8 @@ def bias_zone_scan(pairs: float, order: int, count: SpuriousCount,
     _require(safe_threshold_rad > 0.0, "safe_threshold_rad", "must be > 0")
 
     cell = math.pi / order
+    cells = (hi - lo) / cell
+    _require_memory(cells * SCAN_BYTES_PER_CELL, "phase_range", f"a scan of {cells:.3g} half-periods")
     cusps = [k * cell for k in range(math.ceil(lo / cell - 1e-12), math.floor(hi / cell + 1e-12) + 1)]
     optimal = [0.5 * cell + k * cell
                for k in range(math.ceil((lo - 0.5 * cell) / cell - 1e-12),
@@ -358,18 +384,35 @@ def bias_zone_scan(pairs: float, order: int, count: SpuriousCount,
         solution = phase_shift_spurious(pairs, phi, order, count)
         return abs(solution.value_rad) if solution.defined else width
 
-    # |dphi| peaks at the cusps and dips at the optimal points, so with those
-    # among the samples every cell is monotone and holds at most one crossing.
-    n_points = max(2, int(math.ceil((hi - lo) / math.pi * SCAN_POINTS_PER_PI)) + 1)
-    grid = np.linspace(lo, hi, n_points)
-    extra = np.clip(sorted(cusps + optimal), lo, hi)
-    grid = np.insert(grid, np.searchsorted(grid, extra), extra)
-    signed, defined = phase_shift_profile(pairs, grid, order, count)
-    profile = np.where(defined, np.abs(signed), width)
+    # The lattice is np.linspace(lo, hi, n) with the clipped cusps and optimal
+    # points inserted where searchsorted(..., 'left') puts them, computed
+    # point by point; extra k sits at merged index merged[k].
+    n = max(2, int(math.ceil((hi - lo) / math.pi * SCAN_POINTS_PER_PI)) + 1)
+    step = (hi - lo) / (n - 1)
 
-    above_shot, crossings = _hot_intervals(magnitude, shot_noise_rad, grid, profile, undefined)
+    def linspace(i):
+        return hi if i == n - 1 else i * step + lo
+
+    extra = [min(max(x, lo), hi) for x in sorted(cusps + optimal)]
+    merged = [bisect_left(range(n), x, key=linspace) + k for k, x in enumerate(extra)]
+
+    def sample(j):
+        k = bisect_left(merged, j)
+        return extra[k] if k < len(merged) and merged[k] == j else linspace(j - k)
+
+    def below(x):
+        return bisect_left(range(n), x, key=linspace) + bisect_left(extra, x)
+
+    # Each minimum is an optimal point moved by asin(dpcc/pairs)/N toward the
+    # coincidence minimum: at large fractions, many lattice cells from it.
+    shift = math.asin(min(count.delta_pcc / pairs, 1.0)) / order
+    dips = (d for k in range(math.floor(lo / cell) - 1, math.ceil(hi / cell) + 1)
+            if lo < (d := (k + 0.5) * cell + (shift if k % 2 == 0 else -shift)) < hi)
+    ends = sorted({0, n + len(extra) - 1, *merged, *(j for m in map(below, dips) for j in (m - 1, m))})
+    values = [magnitude(sample(j)) for j in ends]
+    above_shot, crossings = _hot_intervals(magnitude, shot_noise_rad, sample, ends, values, undefined)
     above_safe = (above_shot if safe_threshold_rad == shot_noise_rad
-                  else _hot_intervals(magnitude, safe_threshold_rad, grid, profile, undefined)[0])
+                  else _hot_intervals(magnitude, safe_threshold_rad, sample, ends, values, undefined)[0])
 
     return BiasZoneReport(
         cusp_locations=tuple(cusps),

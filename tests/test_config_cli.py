@@ -223,7 +223,7 @@ def test_bad_command_arguments_exit_4(args, named, tmp_path, monkeypatch, capsys
 # The modules a command loads of those that cost start-up time: the analytic
 # reports need no NumPy, and a process pool starts only for --workers > 1.
 HEAVY_MODULES = ("numpy", "qfog.montecarlo", "concurrent.futures.process")
-LOADED = {"budget": set(), "omega-min": set(), "zones": {"numpy"}, "sweep": {"numpy"},
+LOADED = {"budget": set(), "omega-min": set(), "zones": set(), "sweep": {"numpy"},
           "mc": {"numpy", "qfog.montecarlo"}}
 IMPORT_PROBE = """import contextlib, io, sys
 from qfog.cli import main

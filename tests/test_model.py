@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from qfog import DetectionSpec, GyroGeometry, OpticalPath, PhasePoint, SourceSpec, WindowMode
+from qfog.model import _require_finite
 
 
 def test_valid_types_construct():
@@ -79,3 +80,16 @@ def test_types_are_immutable():
 def test_window_mode_values():
     assert WindowMode("binned") is WindowMode.BINNED
     assert WindowMode("sliding") is WindowMode.SLIDING
+
+
+@pytest.mark.parametrize("value, shown", [(float("nan"), "nan"), (float("inf"), "inf"),
+                                          (float("-inf"), "-inf"), ("x", "'x'"), (None, "None")])
+def test_require_finite_names_the_field_and_value(value, shown):
+    with pytest.raises(ValueError) as err:
+        _require_finite(value, "f")
+    assert str(err.value) == f"f: must be a finite number, got {shown}"
+
+
+@pytest.mark.parametrize("value", [True, 0, 1.5])
+def test_require_finite_accepts_numbers(value):
+    _require_finite(value, "f")

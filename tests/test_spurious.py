@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,16 @@ from qfog import (
     spurious_coincidences_per_detector,
     undefined_half_width,
 )
-from qfog.spurious import CROSSING_RESIDUAL_RAD
+from qfog import spurious
+from qfog.cli import assemble_budget
+from qfog.config import load_config
+from qfog.spurious import (
+    CROSSING_RESIDUAL_RAD,
+    SCAN_POINTS_PER_PI,
+    _bisect_crossing,
+    _complement,
+    _merge_intervals,
+)
 
 # Two-photon half-hour benchmark: 4 kHz pair flux, 38 kHz uncorrelated flux,
 # 156 ps jitter.
@@ -471,3 +482,90 @@ def test_scan_agrees_with_a_denser_offset_grid(case):
         solution = phase_shift_spurious(pairs, phi, order, count)
         assert solution.defined
         assert abs(abs(solution.value_rad) - threshold) < CROSSING_RESIDUAL_RAD
+
+
+def _shipped_case(name, tenth):
+    b = assemble_budget(load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"))
+    return (b.effective_pairs, b.noon_order, b.spurious, b.shot_noise_rad, (0.0, math.pi),
+            0.1 * b.shot_noise_rad if tenth else None)
+
+
+def _grid_hot_intervals(pairs, order, count, threshold, phase_range, report):
+    """The bracket rule of the whole-lattice grid scan: the profile on
+    np.linspace plus the inserted cusp and optimal points, bisection in every
+    lattice cell where it crosses the threshold."""
+    lo, hi = phase_range
+    width = undefined_half_width(pairs, order, count)
+    grid = np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / math.pi * SCAN_POINTS_PER_PI)) + 1))
+    extra = np.clip(sorted(report.cusp_locations + report.optimal_bias_points), lo, hi)
+    grid = np.insert(grid, np.searchsorted(grid, extra), extra)
+    signed, defined = phase_shift_profile(pairs, grid, order, count)
+    hot = np.where(defined, np.abs(signed), width) > threshold
+
+    def magnitude(phi):
+        solution = phase_shift_spurious(pairs, phi, order, count)
+        return abs(solution.value_rad) if solution.defined else width
+
+    crossings = [_bisect_crossing(magnitude, threshold, grid[i], grid[i + 1])
+                 for i in np.flatnonzero(hot[1:] != hot[:-1])]
+    edges = ([float(grid[0])] if hot[0] else []) + crossings + ([float(grid[-1])] if hot[-1] else [])
+    return _merge_intervals([*zip(edges[::2], edges[1::2]), *report.undefined_intervals]), crossings
+
+
+# At N = 13 and an accidental fraction of 0.278 the least |dphi| lies 0.022
+# rad past each optimal point, below the safe threshold where the optimal
+# point itself is above it: the safe windows sit off the optimal points.
+FAR_DIPS = (230.42923911190485, 13, SpuriousCount.from_count(64.03601114364973, 1800.0),
+            0.12813606169741876, (0.9588037580181199, 1.6305276509189048), 0.04505325187322489)
+
+
+@pytest.mark.parametrize("case", [*range(96), "silvestri2024", "silvestri2024-tenth",
+                                  "projected2025", "projected2025-tenth", "far-dips"])
+def test_scan_keeps_the_grid_scans_brackets(case):
+    # Searching only the segments whose ends straddle the threshold finds
+    # the same lattice cells as the whole-lattice profile, so bisection
+    # starts from the same brackets and every reported float is equal.
+    if case == "far-dips":
+        pairs, order, count, threshold, phase_range, safe = FAR_DIPS
+    elif isinstance(case, str):
+        pairs, order, count, threshold, phase_range, safe = _shipped_case(*case.partition("-")[::2])
+    else:
+        pairs, order, count, threshold, phase_range, safe = _oracle_case(case)
+    report = bias_zone_scan(pairs, order, count, threshold, phase_range, safe)
+    above, crossings = _grid_hot_intervals(pairs, order, count, threshold, phase_range, report)
+    above_safe, _ = _grid_hot_intervals(pairs, order, count, report.safe_threshold_rad, phase_range, report)
+    assert report.crossings_rad == tuple(crossings)
+    assert report.above_shot_noise_intervals == tuple(above)
+    assert report.safe_windows == tuple(_complement(above_safe, *phase_range))
+    if case == "far-dips":
+        assert len(report.safe_windows) == 3
+        assert not any(lo < x < hi for x in report.optimal_bias_points for lo, hi in report.safe_windows)
+
+
+def test_scan_inverts_only_around_its_crossings(monkeypatch):
+    calls = []
+    inversion = spurious.phase_shift_spurious
+
+    def counted(*args):
+        calls.append(args[1])
+        return inversion(*args)
+
+    monkeypatch.setattr(spurious, "phase_shift_spurious", counted)
+    pairs, order, count, shot, _, _ = _shipped_case("silvestri2024", False)
+    report = bias_zone_scan(pairs, order, count, shot, phase_range=(-0.5, math.pi + 0.5))
+    assert len(report.crossings_rad) == 6
+    # The lattice has about 5.4e3 points.
+    assert len(calls) < 200, len(calls)
+
+
+@pytest.mark.parametrize("phase_range", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan),
+                                         (0.0, 1e300), (-1e300, 0.0), (-1.7e308, 1.7e308)])
+def test_scan_refuses_unbounded_ranges_before_listing_cusps(phase_range):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^phase_range: "):
+            bias_zone_scan(PAIRS, 2, COUNT, SHOT, phase_range=phase_range)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
