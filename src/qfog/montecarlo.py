@@ -92,7 +92,8 @@ class McResult:
         variance = float(counts.var(ddof=1)) if counts.size >= 2 else 0.0
         se = math.sqrt(variance / counts.size) if variance > 0.0 else 0.0
         if se == 0.0:
-            se = math.sqrt(max(prediction, 0.0) / counts.size)
+            poisson = max(prediction, 0.0)
+            se = math.sqrt(poisson / counts.size) or math.sqrt(poisson) / math.sqrt(counts.size)
         z = 0.0 if mean == prediction else (mean - prediction) / se if se > 0.0 else math.inf
         return cls(mean, variance, counts, float(prediction), z)
 

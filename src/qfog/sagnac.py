@@ -73,4 +73,6 @@ def omega_min(geom: GyroGeometry, order: int, total_photons: float | None = None
     order-of-magnitude floor on resolvable rotation for a given photon
     budget.  Quadrupling the photon number halves the result.
     """
-    return shot_noise(order, total_photons, noon_pairs=noon_pairs) / sagnac_phase(1.0, geom)
+    scale = sagnac_phase(1.0, geom)
+    _require(scale > 0.0, "geometry", "the Sagnac scale factor 4*pi*L*r/(lambda*c) underflows to 0")
+    return shot_noise(order, total_photons, noon_pairs=noon_pairs) / scale

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .model import DetectionSpec, _require, _require_finite, _require_memory
@@ -57,9 +58,8 @@ class SpuriousCount:
         return cls(delta_pcc, delta_pcc / measurement_time_s)
 
 
-@dataclass(frozen=True)
-class PhaseShiftSolution:
-    """The least-magnitude solution of the accidental-count -> phase-shift inversion.
+class PhaseShiftSolution(namedtuple("PhaseShiftSolution", "value_rad branch_sign branch_index defined")):
+    """The least-magnitude count -> phase-shift inversion, as an immutable named tuple.
 
     ``value_rad`` is the signed shift; ``branch_sign`` is the sign of the
     arccosine branch it lies on and ``branch_index`` the fringe index n, so
@@ -68,10 +68,7 @@ class PhaseShiftSolution:
     could add at this bias, ``value_rad`` is NaN and sign and index are 0.
     """
 
-    value_rad: float
-    branch_sign: int
-    branch_index: int
-    defined: bool
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -168,16 +165,16 @@ def _minimal_branch(theta, scaled):
     ``theta`` is the arccosine of the target fringe value and ``scaled`` the
     current N*phi; either may be a float or an array.  Returns the signed
     scaled shift N*dphi, wrapped into [-pi, pi), and whether the +theta
-    branch gave it; ties go to +theta.  Scalars, NumPy's included, take the
-    plain ``if``, which keeps the scalar inversion cheap and NumPy-free.
+    branch gave it; ties go to +theta.  Scalars take the plain ``if``, Python
+    floats before any ``ndim`` probe, so the scalar inversion stays cheap.
     """
     plus = (theta - scaled + math.pi) % TWO_PI - math.pi
     minus = (-theta - scaled + math.pi) % TWO_PI - math.pi
     use_plus = abs(plus) <= abs(minus)
-    if getattr(use_plus, "ndim", 0):
-        import numpy as np
-        return np.where(use_plus, plus, minus), use_plus
-    return (plus if use_plus else minus), use_plus
+    if use_plus.__class__ is bool or not getattr(use_plus, "ndim", 0):
+        return (plus if use_plus else minus), use_plus
+    import numpy as np
+    return np.where(use_plus, plus, minus), use_plus
 
 
 def phase_shift_spurious(pairs: float, phase_total_rad: float, order: int,
@@ -191,11 +188,14 @@ def phase_shift_spurious(pairs: float, phase_total_rad: float, order: int,
     :func:`coincidence_shift_forward` maps it back to the accidental count.
     When the arccosine argument exceeds one (near a coincidence-maximum
     cusp) no real solution exists and the result carries ``defined=False``.
+    Full validation, with the same messages, runs only if a fast in-range float test fails.
     """
-    _require_finite(pairs, "pairs")
-    _require(pairs > 0.0, "pairs", "must be > 0")
-    _require_finite(phase_total_rad, "phase_total_rad")
-    _require(order >= 1, "order", f"must be >= 1, got {order}")
+    if not (pairs.__class__ is float and phase_total_rad.__class__ is float and 0.0 < pairs < math.inf
+            and -math.inf < phase_total_rad < math.inf and order >= 1):
+        _require_finite(pairs, "pairs")
+        _require(pairs > 0.0, "pairs", "must be > 0")
+        _require_finite(phase_total_rad, "phase_total_rad")
+        _require(order >= 1, "order", f"must be >= 1, got {order}")
     scaled = order * phase_total_rad
     acos_arg = 2.0 * count.delta_pcc / pairs + math.cos(scaled)
     if acos_arg > 1.0:
@@ -325,6 +325,24 @@ def _complement(intervals, lo, hi):
     return [(a, b) for a, b in out if b - a > 1e-14]
 
 
+def _lattice(lo: float, hi: float, n: int):
+    """Point i of ``np.linspace(lo, hi, n)`` alone, and in O(1) ``bisect_left(range(n), x, key=point)``."""
+    step = (hi - lo) / (n - 1)
+
+    def point(i):
+        return hi if i == n - 1 else i * step + lo
+
+    def index(x):
+        i = min(max(math.ceil((x - lo) / step), 0), n)
+        while i > 0 and point(i - 1) >= x:
+            i -= 1
+        while i < n and point(i) < x:
+            i += 1
+        return i
+
+    return point, index
+
+
 def bias_zone_scan(pairs: float, order: int, count: SpuriousCount,
                    shot_noise_rad: float, phase_range: tuple[float, float] = (0.0, math.pi),
                    safe_threshold_rad: float | None = None) -> BiasZoneReport:
@@ -349,13 +367,14 @@ def bias_zone_scan(pairs: float, order: int, count: SpuriousCount,
     evaluated at the range ends, the cusps, the optimal points and the two
     lattice points around each minimum; only a segment between these whose
     ends straddle a threshold holds a crossing, bisected to a residual below
-    ``CROSSING_RESIDUAL_RAD`` from the lattice cell that holds it.  The cores
-    ``2*k*pi/N -+ w``, clipped to the range, are listed where their ends
-    differ as floats: a core narrower than the float spacing at its centre
-    is not listed.  Both range ends must be finite, and a range that would
-    need more than the physical memory at ``SCAN_BYTES_PER_CELL`` per
-    half-period is refused before anything is listed.
+    ``CROSSING_RESIDUAL_RAD`` from the lattice cell (its index found in O(1))
+    that holds it.  The cores ``2*k*pi/N -+ w``, clipped to the range, are
+    listed where their ends differ as floats: a core narrower than the float
+    spacing at its centre is not listed.  ``order`` must be >= 1 and both
+    range ends finite; a range needing more than the physical memory at
+    ``SCAN_BYTES_PER_CELL`` per half-period is refused before any listing.
     """
+    _require(order >= 1, "order", f"must be >= 1, got {order}")
     lo, hi = phase_range
     _require(hi > lo, "phase_range", "must be an increasing (lo, hi) pair")
     _require_finite(lo, "phase_range")
@@ -384,24 +403,18 @@ def bias_zone_scan(pairs: float, order: int, count: SpuriousCount,
         solution = phase_shift_spurious(pairs, phi, order, count)
         return abs(solution.value_rad) if solution.defined else width
 
-    # The lattice is np.linspace(lo, hi, n) with the clipped cusps and optimal
-    # points inserted where searchsorted(..., 'left') puts them, computed
-    # point by point; extra k sits at merged index merged[k].
+    # The lattice with the clipped cusps and optimal points inserted by searchsorted 'left': extra[k] at merged[k].
     n = max(2, int(math.ceil((hi - lo) / math.pi * SCAN_POINTS_PER_PI)) + 1)
-    step = (hi - lo) / (n - 1)
-
-    def linspace(i):
-        return hi if i == n - 1 else i * step + lo
-
+    linspace, index = _lattice(lo, hi, n)
     extra = [min(max(x, lo), hi) for x in sorted(cusps + optimal)]
-    merged = [bisect_left(range(n), x, key=linspace) + k for k, x in enumerate(extra)]
+    merged = [index(x) + k for k, x in enumerate(extra)]
 
     def sample(j):
         k = bisect_left(merged, j)
         return extra[k] if k < len(merged) and merged[k] == j else linspace(j - k)
 
     def below(x):
-        return bisect_left(range(n), x, key=linspace) + bisect_left(extra, x)
+        return index(x) + bisect_left(extra, x)
 
     # Each minimum is an optimal point moved by asin(dpcc/pairs)/N toward the
     # coincidence minimum: at large fractions, many lattice cells from it.

@@ -347,6 +347,23 @@ def test_sweep_trivial_two_points(tmp_path, bench_dict):
         assert float(cells[1]) == 0.0
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(valid_config_dicts(), st.floats(-20.0, 20.0), st.floats(0.0, 40.0), st.integers(-1, 50))
+def test_sweep_rows_on_edge_configs(data, from_rad, span, points):
+    # Either the CSV text with one flagged row per point, or a ValueError.
+    try:
+        text = sweep_rows(config_from_dict(data), from_rad, from_rad + span, points)
+    except ValueError:
+        return
+    lines = text.splitlines()
+    assert len(lines) == points + 1
+    for row in lines[1:]:
+        cells = row.split(",")
+        assert len(cells) == 6
+        assert cells[2] in ("0", "1")
+        assert (cells[1] == "") == (cells[2] == "0")
+
+
 def test_sweep_benchmark_structure(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(BENCH_CONFIG), "--from", "0.0",

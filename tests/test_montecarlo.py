@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfog import (
     DetectionSpec,
@@ -338,6 +340,16 @@ def test_disagreeing_mc_window_mode_rejected():
 def test_from_counts_with_zero_prediction(counts, z):
     # Equal counts fall back to the zero Poisson variance of the prediction.
     assert McResult.from_counts(np.array(counts), 0.0).z_score == z
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(0, 2**53), st.integers(1, 64), st.floats(0.0, 1e16, exclude_min=True))
+def test_zero_variance_z_score_is_finite_and_signed(count, trials, prediction):
+    # Constant counts fall back to the Poisson variance of a positive prediction,
+    # subnormal predictions included.
+    z = McResult.from_counts(np.full(trials, count), prediction).z_score
+    assert math.isfinite(z)
+    assert (z > 0.0, z < 0.0) == (count > prediction, count < prediction)
 
 
 def test_three_detector_rate_scaling():

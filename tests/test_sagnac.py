@@ -114,3 +114,12 @@ def test_omega_min_matches_shot_noise_by_construction():
         m = float(rng.uniform(1.0, 1e9))
         floor = omega_min(geom, order, m)
         assert sagnac_phase(floor, geom) == pytest.approx(shot_noise(order, m), rel=1e-12)
+
+
+@pytest.mark.parametrize("fiber_length_m", [5e-324, 1e-323])
+def test_omega_min_refuses_a_scale_factor_that_underflows(fiber_length_m):
+    # 4*pi*L*r/(lambda*c) rounds to 0 here; the floor would divide by it.
+    geom = GyroGeometry(fiber_length_m, 1.0, 1.55e-6)
+    with pytest.raises(ValueError) as raised:
+        omega_min(geom, 2, 1e6)
+    assert str(raised.value) == "geometry: the Sagnac scale factor 4*pi*L*r/(lambda*c) underflows to 0"

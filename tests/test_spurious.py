@@ -1,12 +1,16 @@
 import math
 import tracemalloc
+from bisect import bisect_left
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfog import (
     DetectionSpec,
+    PhaseShiftSolution,
     SpuriousCount,
     bias_zone_scan,
     coincidence_shift_forward,
@@ -27,6 +31,7 @@ from qfog.spurious import (
     SCAN_POINTS_PER_PI,
     _bisect_crossing,
     _complement,
+    _lattice,
     _merge_intervals,
 )
 
@@ -151,6 +156,53 @@ def test_phase_shift_undefined_near_maximum():
 def test_phase_shift_rejects_zero_pairs():
     with pytest.raises(ValueError, match="pairs"):
         phase_shift_spurious(0.0, 0.3, 2, COUNT)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0.0, 0.3, 2), "pairs: must be > 0"),
+    ((-1.0, 0.3, 2), "pairs: must be > 0"),
+    ((-1, 0.3, 2), "pairs: must be > 0"),
+    ((math.nan, 0.3, 2), "pairs: must be a finite number, got nan"),
+    ((math.inf, 0.3, 2), "pairs: must be a finite number, got inf"),
+    ((-math.inf, 0.3, 2), "pairs: must be a finite number, got -inf"),
+    (("x", 0.3, 2), "pairs: must be a finite number, got 'x'"),
+    ((None, 0.3, 2), "pairs: must be a finite number, got None"),
+    ((PAIRS, math.nan, 2), "phase_total_rad: must be a finite number, got nan"),
+    ((PAIRS, math.inf, 2), "phase_total_rad: must be a finite number, got inf"),
+    ((PAIRS, -math.inf, 2), "phase_total_rad: must be a finite number, got -inf"),
+    ((PAIRS, 0.3, 0), "order: must be >= 1, got 0"),
+    ((math.nan, math.nan, 0), "pairs: must be a finite number, got nan"),
+])
+def test_phase_shift_error_texts(args, message):
+    # The combined fast test only decides whether the field-by-field checks run.
+    with pytest.raises(ValueError) as raised:
+        phase_shift_spurious(*args, COUNT)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("phi", [0.0, 1e-4, 0.3, math.pi / 4, math.pi / 2, 2.0, -7.5])
+def test_phase_shift_takes_numpy_and_int_inputs_like_floats(phi):
+    expected = phase_shift_spurious(PAIRS, phi, 2, COUNT)
+    for pairs, phase, order in [(np.float64(PAIRS), phi, 2), (PAIRS, np.float64(phi), 2),
+                                (np.float64(PAIRS), np.float64(phi), np.int64(2)), (int(PAIRS), phi, 2)]:
+        assert phase_shift_spurious(pairs, phase, order, COUNT) == expected
+    if phi == round(phi):
+        assert phase_shift_spurious(PAIRS, int(phi), 2, COUNT) == expected
+
+
+def test_phase_shift_solution_is_an_immutable_record():
+    solution = phase_shift_spurious(PAIRS, math.pi / 4, 2, COUNT)
+    assert repr(solution) == ("PhaseShiftSolution(value_rad=-1.4069444446374035e-05, branch_sign=1, "
+                              "branch_index=0, defined=True)")
+    assert repr(phase_shift_spurious(PAIRS, 1e-4, 2, COUNT)) == (
+        "PhaseShiftSolution(value_rad=nan, branch_sign=0, branch_index=0, defined=False)")
+    assert solution == PhaseShiftSolution(value_rad=-1.4069444446374035e-05, branch_sign=1,
+                                          branch_index=0, defined=True)
+    assert solution == phase_shift_spurious(PAIRS, math.pi / 4, 2, COUNT)
+    assert solution != phase_shift_spurious(PAIRS, math.pi / 4 + 1e-3, 2, COUNT)
+    for field in ("value_rad", "branch_sign", "branch_index", "defined", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(solution, field, 0)
 
 
 def _random_defined_samples(rng, size):
@@ -556,6 +608,36 @@ def test_scan_inverts_only_around_its_crossings(monkeypatch):
     assert len(report.crossings_rad) == 6
     # The lattice has about 5.4e3 points.
     assert len(calls) < 200, len(calls)
+
+
+@pytest.mark.parametrize("order", [0, -2])
+def test_scan_rejects_orders_below_one(order):
+    with pytest.raises(ValueError) as raised:
+        bias_zone_scan(1e6, order, SpuriousCount(1.0, 1.0), 1e-3)
+    assert str(raised.value) == f"order: must be >= 1, got {order}"
+
+
+def _lattice_case(draw):
+    lo = draw(st.floats(-1e6, 1e6) | st.sampled_from([0.0, -math.pi, 1e15, -1e15, 5e-324]))
+    hi = draw(st.sampled_from([math.nextafter(lo, math.inf), lo + 1e-9, lo + math.pi, lo + 1.0])
+              | st.floats(lo, lo + 100.0, exclude_min=True))
+    n = max(2, int(math.ceil((hi - lo) / math.pi * SCAN_POINTS_PER_PI)) + 1)
+    return lo, hi, n
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_lattice_index_equals_bisect(data):
+    # The scan's lattice: its width sets n, so the step never underflows.
+    lo, hi, n = _lattice_case(data.draw)
+    if not hi > lo:
+        return
+    point, index = _lattice(lo, hi, n)
+    i = data.draw(st.integers(0, n - 1))
+    for x in {lo, hi, point(i), point(max(i - 1, 0)), point(min(i + 1, n - 1)),
+              data.draw(st.floats(lo, hi))}:
+        for y in (x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)):
+            assert index(y) == bisect_left(range(n), y, key=point), (lo, hi, n, y)
 
 
 @pytest.mark.parametrize("phase_range", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan),
