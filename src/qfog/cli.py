@@ -133,7 +133,13 @@ def assemble_budget(cfg: InstrumentConfig) -> NoiseBudget:
     noon_pairs = src.pair_rate_hz * t_meas
     singles_rate = singles_rate_from_ratio(src.pair_rate_hz, fraction)
     singles_count = singles_rate * t_meas
-    spurious = spurious_coincidences(singles_count, order, det, src.dark_rate_hz)
+    # The config is validated, so only a count that overflows fails here.
+    try:
+        spurious = spurious_coincidences(singles_count, order, det, src.dark_rate_hz)
+    except ValueError:
+        raise ValueError(f"accidental count: overflows at order {order}, singles rate {_e(singles_rate)} Hz, "
+                         f"dark rate {_e(src.dark_rate_hz)} Hz, jitter {_e(det.jitter_s)} s, "
+                         f"measurement time {_e(t_meas)} s") from None
     dark_free = spurious_coincidences(singles_count, order, det, 0.0)
     dark_only = spurious_coincidences(0.0, order, det, src.dark_rate_hz)
 

@@ -43,8 +43,16 @@ def _require_memory(nbytes: float, field: str, what: str) -> None:
 
 
 def _require_finite(value: float, field: str) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+    if not (_is_real(value) and math.isfinite(value)):
         raise ValueError(f"{field}: must be a finite number, got {value!r}")
+
+
+def _is_real(value) -> bool:
+    # numbers loads only for other types, such as the NumPy scalars it registers as Real.
+    if isinstance(value, (int, float)):
+        return True
+    import numbers
+    return isinstance(value, numbers.Real)
 
 
 class WindowMode(Enum):

@@ -74,5 +74,7 @@ def omega_min(geom: GyroGeometry, order: int, total_photons: float | None = None
     budget.  Quadrupling the photon number halves the result.
     """
     scale = sagnac_phase(1.0, geom)
-    _require(scale > 0.0, "geometry", "the Sagnac scale factor 4*pi*L*r/(lambda*c) underflows to 0")
-    return shot_noise(order, total_photons, noon_pairs=noon_pairs) / scale
+    floor = shot_noise(order, total_photons, noon_pairs=noon_pairs) / scale if scale > 0.0 else math.inf
+    _require(floor < math.inf, "geometry",
+             f"the Sagnac scale factor 4*pi*L*r/(lambda*c) = {scale!r} underflows: no finite rotation floor")
+    return floor

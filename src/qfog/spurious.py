@@ -18,7 +18,6 @@ reported as undefined, never clamped.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -29,8 +28,9 @@ from .sagnac import shot_noise
 CROSSING_RESIDUAL_RAD = 1e-9
 
 # Lattice density of bias_zone_scan, in points per pi of range.  The lattice
-# only seeds the bisection brackets; it is kept so that the pinned output
-# bytes hold until the benchmark's digests are captured again.
+# is never evaluated as a whole: it only seeds the bisection bracket inside a
+# segment that holds a crossing, and is kept so that the pinned output bytes
+# hold until the benchmark's digests are captured again.
 SCAN_POINTS_PER_PI = 4096
 
 # Peak memory of bias_zone_scan per half-period pi/N of range, measured up to
@@ -284,31 +284,35 @@ def _merge_intervals(intervals):
     return out
 
 
-def _hot_intervals(magnitude, threshold, sample, ends, values, cores):
+def _hot_intervals(magnitude, threshold, point, n, ends, values, cores):
     """Maximal intervals where the error magnitude exceeds ``threshold``.
 
-    ``sample(j)`` is point j of the scan lattice, ``ends`` the sorted
-    lattice indices between which the magnitude is monotone, and ``values``
-    the magnitude there.  So a segment between consecutive ends holds a
-    crossing only when its end values straddle the threshold; a binary
-    search over the segment's lattice points finds the one cell that holds
-    it, and bisection finds the crossing in that cell.  The range ends bound
-    intervals that reach them.  The pairs are merged with ``cores``, the
-    listed undefined intervals.  Returns (intervals, crossing_points).
+    ``ends`` are the sorted bias points between which the magnitude is
+    monotone and ``values`` the magnitude there.  So a segment between
+    consecutive ends holds a crossing only when its end values straddle the
+    threshold.  A binary search over the lattice ``point(0) ... point(n - 1)``
+    then finds the cell that holds it: lattice points at or beyond the
+    segment's ends take the side of that end, only points inside it are
+    inverted, and bisection starts from the cell clipped to the segment.
+    The range ends bound intervals that reach them.  The pairs are merged
+    with ``cores``, the listed undefined intervals.  Returns (intervals,
+    crossing_points).
     """
     hot = [v > threshold for v in values]
     crossings = []
     for a, b, left, right in zip(ends, ends[1:], hot, hot[1:]):
         if left == right:
             continue
-        while b - a > 1:
-            mid = (a + b) // 2
-            if (magnitude(sample(mid)) > threshold) == left:
-                a = mid
+        i, j = 0, n - 1
+        while j - i > 1:
+            mid = (i + j) // 2
+            x = point(mid)
+            if x <= a or (x < b and (magnitude(x) > threshold) == left):
+                i = mid
             else:
-                b = mid
-        crossings.append(_bisect_crossing(magnitude, threshold, sample(a), sample(b)))
-    edges = ([sample(ends[0])] if hot[0] else []) + crossings + ([sample(ends[-1])] if hot[-1] else [])
+                j = mid
+        crossings.append(_bisect_crossing(magnitude, threshold, max(point(i), a), min(point(j), b)))
+    edges = ([ends[0]] if hot[0] else []) + crossings + ([ends[-1]] if hot[-1] else [])
     return _merge_intervals([*zip(edges[::2], edges[1::2]), *cores]), crossings
 
 
@@ -323,24 +327,6 @@ def _complement(intervals, lo, hi):
     if cursor < hi:
         out.append((cursor, hi))
     return [(a, b) for a, b in out if b - a > 1e-14]
-
-
-def _lattice(lo: float, hi: float, n: int):
-    """Point i of ``np.linspace(lo, hi, n)`` alone, and in O(1) ``bisect_left(range(n), x, key=point)``."""
-    step = (hi - lo) / (n - 1)
-
-    def point(i):
-        return hi if i == n - 1 else i * step + lo
-
-    def index(x):
-        i = min(max(math.ceil((x - lo) / step), 0), n)
-        while i > 0 and point(i - 1) >= x:
-            i -= 1
-        while i < n and point(i) < x:
-            i += 1
-        return i
-
-    return point, index
 
 
 def bias_zone_scan(pairs: float, order: int, count: SpuriousCount,
@@ -363,16 +349,18 @@ def bias_zone_scan(pairs: float, order: int, count: SpuriousCount,
 
     |dphi| rises to exactly the undefined half-width w at every cusp, so
     with w in the undefined cores it is continuous.  Between two cusps it
-    falls to one minimum, where ``cos(N*phi) = -dpcc/pairs``.  It is
-    evaluated at the range ends, the cusps, the optimal points and the two
-    lattice points around each minimum; only a segment between these whose
-    ends straddle a threshold holds a crossing, bisected to a residual below
-    ``CROSSING_RESIDUAL_RAD`` from the lattice cell (its index found in O(1))
-    that holds it.  The cores ``2*k*pi/N -+ w``, clipped to the range, are
-    listed where their ends differ as floats: a core narrower than the float
-    spacing at its centre is not listed.  ``order`` must be >= 1 and both
-    range ends finite; a range needing more than the physical memory at
-    ``SCAN_BYTES_PER_CELL`` per half-period is refused before any listing.
+    falls to one minimum, at ``(k + 1/2)*pi/N +- asin(dpcc/pairs)/N`` (+ for
+    even k).  It is evaluated at the range ends, the cusps, the optimal
+    points and the minima; only a segment between these whose ends straddle
+    a threshold holds a crossing, bisected to a residual below
+    ``CROSSING_RESIDUAL_RAD`` from the cell of the ``SCAN_POINTS_PER_PI``
+    lattice, clipped to the segment, that holds it.  So a safe window
+    narrower than a lattice cell around a minimum is listed too.  The cores
+    ``2*k*pi/N -+ w``, clipped to the range, are listed where their ends
+    differ as floats: a core narrower than the float spacing at its centre
+    is not listed.  ``order`` must be >= 1 and both range ends finite; a
+    range needing more than the physical memory at ``SCAN_BYTES_PER_CELL``
+    per half-period is refused before any listing.
     """
     _require(order >= 1, "order", f"must be >= 1, got {order}")
     lo, hi = phase_range
@@ -403,29 +391,22 @@ def bias_zone_scan(pairs: float, order: int, count: SpuriousCount,
         solution = phase_shift_spurious(pairs, phi, order, count)
         return abs(solution.value_rad) if solution.defined else width
 
-    # The lattice with the clipped cusps and optimal points inserted by searchsorted 'left': extra[k] at merged[k].
-    n = max(2, int(math.ceil((hi - lo) / math.pi * SCAN_POINTS_PER_PI)) + 1)
-    linspace, index = _lattice(lo, hi, n)
-    extra = [min(max(x, lo), hi) for x in sorted(cusps + optimal)]
-    merged = [index(x) + k for k, x in enumerate(extra)]
-
-    def sample(j):
-        k = bisect_left(merged, j)
-        return extra[k] if k < len(merged) and merged[k] == j else linspace(j - k)
-
-    def below(x):
-        return index(x) + bisect_left(extra, x)
-
-    # Each minimum is an optimal point moved by asin(dpcc/pairs)/N toward the
-    # coincidence minimum: at large fractions, many lattice cells from it.
+    # Each minimum is an optimal point moved by asin(dpcc/pairs)/N toward the coincidence minimum.
     shift = math.asin(min(count.delta_pcc / pairs, 1.0)) / order
     dips = (d for k in range(math.floor(lo / cell) - 1, math.ceil(hi / cell) + 1)
             if lo < (d := (k + 0.5) * cell + (shift if k % 2 == 0 else -shift)) < hi)
-    ends = sorted({0, n + len(extra) - 1, *merged, *(j for m in map(below, dips) for j in (m - 1, m))})
-    values = [magnitude(sample(j)) for j in ends]
-    above_shot, crossings = _hot_intervals(magnitude, shot_noise_rad, sample, ends, values, undefined)
+    ends = sorted({lo, hi, *(min(max(x, lo), hi) for x in cusps + optimal), *dips})
+    values = [magnitude(x) for x in ends]
+    # The lattice np.linspace(lo, hi, n), point by point.
+    n = max(2, int(math.ceil((hi - lo) / math.pi * SCAN_POINTS_PER_PI)) + 1)
+    step = (hi - lo) / (n - 1)
+
+    def point(i):
+        return hi if i == n - 1 else i * step + lo
+
+    above_shot, crossings = _hot_intervals(magnitude, shot_noise_rad, point, n, ends, values, undefined)
     above_safe = (above_shot if safe_threshold_rad == shot_noise_rad
-                  else _hot_intervals(magnitude, safe_threshold_rad, sample, ends, values, undefined)[0])
+                  else _hot_intervals(magnitude, safe_threshold_rad, point, n, ends, values, undefined)[0])
 
     return BiasZoneReport(
         cusp_locations=tuple(cusps),

@@ -202,6 +202,20 @@ def test_coherence_underflow_exits_4_naming_the_total_factor(command, tmp_path, 
     assert "coherence factor: total 0.00000000e+00" in captured.err
 
 
+@pytest.mark.parametrize("command", ["budget", "zones", "omega-min", "sweep", "mc"])
+def test_accidental_count_overflow_exits_4_naming_its_inputs(command, tmp_path, bench_dict, capsys):
+    # A pair fraction of 1e-200 implies about 1e204 singles per second, and
+    # the product of the two detectors' counts overflows.
+    bench_dict["source"]["initial_noon_fraction"] = 1e-200
+    extra = SWEEP_ARGS + ["--out", str(tmp_path / "s.csv")] if command == "sweep" else []
+    assert main([command, "--config", _write(tmp_path, bench_dict), *extra]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("computation error: accidental count: overflows at order 2, singles rate ")
+    for named in ("dark rate 0.00000000e+00 Hz", "jitter 1.56000000e-10 s", "measurement time "):
+        assert named in captured.err
+
+
 @pytest.mark.parametrize("args, named", [
     (["sweep", "--from", "0.0", "--to", "1.0", "--points", "1", "--out", "s.csv"], "points"),
     (["sweep", *SWEEP_ARGS, "--out", "."], "cannot write sweep CSV"),

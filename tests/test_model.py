@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from qfog import DetectionSpec, GyroGeometry, OpticalPath, PhasePoint, SourceSpec, WindowMode
@@ -90,6 +91,6 @@ def test_require_finite_names_the_field_and_value(value, shown):
     assert str(err.value) == f"f: must be a finite number, got {shown}"
 
 
-@pytest.mark.parametrize("value", [True, 0, 1.5])
+@pytest.mark.parametrize("value", [True, 0, 1.5, np.int64(7200000), np.int32(-3), np.float32(0.25)])
 def test_require_finite_accepts_numbers(value):
     _require_finite(value, "f")

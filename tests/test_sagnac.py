@@ -116,10 +116,13 @@ def test_omega_min_matches_shot_noise_by_construction():
         assert sagnac_phase(floor, geom) == pytest.approx(shot_noise(order, m), rel=1e-12)
 
 
-@pytest.mark.parametrize("fiber_length_m", [5e-324, 1e-323])
+@pytest.mark.parametrize("fiber_length_m", [5e-324, 1e-323, 1e-322])
 def test_omega_min_refuses_a_scale_factor_that_underflows(fiber_length_m):
-    # 4*pi*L*r/(lambda*c) rounds to 0 here; the floor would divide by it.
+    # 4*pi*L*r/(lambda*c) rounds to 0, or (at 1e-322) to the subnormal
+    # 5e-324 by which the shot noise overflows: no finite floor either way.
     geom = GyroGeometry(fiber_length_m, 1.0, 1.55e-6)
     with pytest.raises(ValueError) as raised:
         omega_min(geom, 2, 1e6)
-    assert str(raised.value) == "geometry: the Sagnac scale factor 4*pi*L*r/(lambda*c) underflows to 0"
+    scale = "5e-324" if fiber_length_m == 1e-322 else "0.0"
+    assert str(raised.value) == (f"geometry: the Sagnac scale factor 4*pi*L*r/(lambda*c) = {scale} underflows: "
+                                 "no finite rotation floor")

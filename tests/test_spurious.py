@@ -1,12 +1,9 @@
 import math
 import tracemalloc
-from bisect import bisect_left
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qfog import (
     DetectionSpec,
@@ -31,7 +28,6 @@ from qfog.spurious import (
     SCAN_POINTS_PER_PI,
     _bisect_crossing,
     _complement,
-    _lattice,
     _merge_intervals,
 )
 
@@ -610,34 +606,63 @@ def test_scan_inverts_only_around_its_crossings(monkeypatch):
     assert len(calls) < 200, len(calls)
 
 
+def _closed_form_crossings(pairs, order, count, level):
+    """Every phi in [0, pi] where |dphi| = level, each with the slope of
+    |dphi| there.  On the forward map, sin(N*phi + N*t/2) = -dpcc/(P*sin(N*t/2))
+    with t = +-level; a root counts where the minimal branch gives |t|."""
+    ratio = count.delta_pcc / (pairs * math.sin(0.5 * order * level))
+    roots = []
+    for t in (level, -level):
+        base = math.asin(-math.copysign(ratio, t))
+        for scaled in (base, math.pi - base):
+            for k in range(-1, order + 1):
+                phi = (scaled - 0.5 * order * t + 2.0 * math.pi * k) / order
+                solution = phase_shift_spurious(pairs, phi, order, count) if 0.0 <= phi <= math.pi else None
+                if solution and solution.defined and abs(solution.value_rad - t) < 1e-12:
+                    slope = abs(2.0 * math.cos(order * (phi + 0.5 * t)) * math.sin(0.5 * order * t)
+                                / math.sin(order * (phi + t)))
+                    roots.append((phi, slope))
+    return roots
+
+
+def test_scan_lists_safe_windows_narrower_than_a_lattice_cell():
+    # At N = 40 and an accidental fraction of 0.3 a safe threshold 1.5e-6 rad
+    # above the least |dphi| leaves one safe window, about 0.91 lattice cell
+    # wide, around each of the 40 minima.  Around 8 of them both lattice
+    # points are above the threshold; each such window is still listed.
+    pairs, order = 1e6, 40
+    count = SpuriousCount.from_count(0.3 * pairs, 1.0)
+    least = 2.0 * math.asin(0.3) / order
+    threshold = least * (1.0 + 1e-4)
+    report = bias_zone_scan(pairs, order, count, shot_noise(order, noon_pairs=pairs), (0.0, math.pi), threshold)
+    cell = math.pi / order
+    minima = [(k + 0.5) * cell + (1 if k % 2 == 0 else -1) * math.asin(0.3) / order for k in range(order)]
+    assert len(report.safe_windows) == len(minima)
+    for (a, b), dip in zip(report.safe_windows, minima):
+        assert a < dip < b
+
+    def magnitude(phi):
+        return abs(phase_shift_spurious(pairs, float(phi), order, count).value_rad)
+
+    lattice = np.linspace(0.0, math.pi, SCAN_POINTS_PER_PI + 1)
+    blind = [i for i, dip in enumerate(minima)
+             if all(magnitude(x) > threshold for x in lattice[np.searchsorted(lattice, dip) - 1:][:2])]
+    assert len(blind) == 8
+    for i in blind:
+        a, b = report.safe_windows[i]
+        assert b - a < math.pi / SCAN_POINTS_PER_PI
+    roots = _closed_form_crossings(pairs, order, count, threshold)
+    assert len(roots) == 2 * len(minima)
+    for edge in (x for window in report.safe_windows for x in window):
+        phi, slope = min(roots, key=lambda root: abs(root[0] - edge))
+        assert abs(edge - phi) < max(1e-6, 2e-9 / slope), (edge, phi, slope)
+
+
 @pytest.mark.parametrize("order", [0, -2])
 def test_scan_rejects_orders_below_one(order):
     with pytest.raises(ValueError) as raised:
         bias_zone_scan(1e6, order, SpuriousCount(1.0, 1.0), 1e-3)
     assert str(raised.value) == f"order: must be >= 1, got {order}"
-
-
-def _lattice_case(draw):
-    lo = draw(st.floats(-1e6, 1e6) | st.sampled_from([0.0, -math.pi, 1e15, -1e15, 5e-324]))
-    hi = draw(st.sampled_from([math.nextafter(lo, math.inf), lo + 1e-9, lo + math.pi, lo + 1.0])
-              | st.floats(lo, lo + 100.0, exclude_min=True))
-    n = max(2, int(math.ceil((hi - lo) / math.pi * SCAN_POINTS_PER_PI)) + 1)
-    return lo, hi, n
-
-
-@settings(max_examples=300, deadline=None, database=None)
-@given(st.data())
-def test_lattice_index_equals_bisect(data):
-    # The scan's lattice: its width sets n, so the step never underflows.
-    lo, hi, n = _lattice_case(data.draw)
-    if not hi > lo:
-        return
-    point, index = _lattice(lo, hi, n)
-    i = data.draw(st.integers(0, n - 1))
-    for x in {lo, hi, point(i), point(max(i - 1, 0)), point(min(i + 1, n - 1)),
-              data.draw(st.floats(lo, hi))}:
-        for y in (x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)):
-            assert index(y) == bisect_left(range(n), y, key=point), (lo, hi, n, y)
 
 
 @pytest.mark.parametrize("phase_range", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan),
