@@ -55,10 +55,11 @@ REFERENCE_CROSSING_MRAD = 14.0
 SWEEP_COLUMNS = ("phase_total_rad", "abs_dphi_p_rad", "defined_flag",
                  "shot_noise_rad", "shot_noise_tenth_rad", "dphi_p0_rad")
 
-# Peak memory per sweep row: the grid, the profile, its values as Python
-# floats and the CSV text (77 bytes of it) measured 319 bytes per row at
-# 1e6 rows and up to 358 at 1e5, rounded up.
-SWEEP_BYTES_PER_ROW = 360
+# Peak memory per sweep row: the grid, the profile and two copies of the CSV
+# text (the rendered bytes and the str, 77 bytes per row each) measured 178
+# bytes per row at 1e5 rows and 179 at 1e6, rounded up for rows of up to 83
+# bytes (a negative phase and three-digit exponents).
+SWEEP_BYTES_PER_ROW = 190
 
 
 def _e(x: float) -> str:
@@ -217,14 +218,94 @@ def format_budget(b: NoiseBudget) -> str:
     return _table(b.rows)
 
 
+def _sweep_text(header: str, grid, signed, defined, constants: str) -> str:
+    """``header``, then ``row`` below at every point of a sweep, rendered with NumPy.
+
+    Each |x| becomes a nine-digit mantissa ``r = rint(|x|*10**(8-e))`` with
+    ``e = floor(log10|x|)``.  The power of ten is an exact double for
+    |8 - e| <= 22, so the product is rounded once, by at most 6e-8, and r
+    is what ``.8e`` rounds to if the product lies in [1e8, 1e9 - 1/2), so
+    that e is the exponent, and more than 1e-6 from a half.  Other values
+    (zeros, exponents beyond that range, near-halves) are undecided, and
+    their rows go through ``row`` itself.  The other rows fall into runs of one
+    layout (sign of phi, defined flag); each run is a matrix in one uint8
+    buffer of the whole text, its rows copies of ``row``'s own text with
+    the digits from a "0000" ... "9999" table.  The buffer is decoded once,
+    so the text is never held more than twice.  The bytes are those of
+    ``row`` at every point.
+    """
+    import numpy as np
+
+    def row(phi, value, ok):
+        return f"{phi:.8e},{abs(value):.8e},1,{constants}\n" if ok else f"{phi:.8e},,0,{constants}\n"
+
+    quad = np.arange(10000)
+    table = (np.stack([quad // 1000, quad // 100 % 10, quad // 10 % 10, quad % 10], axis=1)
+             + ord("0")).astype(np.uint8)
+    powers = np.array([float(10**k) for k in range(23)])
+
+    def text(x):
+        # |x| as ".8e" text, one uint8 row of 14 per value, and whether that text is decided.
+        with np.errstate(all="ignore"):
+            magnitude = np.abs(x)
+            shift = 8 - np.floor(np.log10(magnitude))
+            decided = (magnitude > 0) & (np.abs(shift) <= 22)
+            shift = np.where(decided, shift, 0).astype(np.intp)
+            power = powers[np.abs(shift)]
+            scaled = np.where(shift >= 0, magnitude * power, magnitude / power)
+            r = np.rint(scaled)
+            decided &= (np.abs(scaled - np.floor(scaled) - 0.5) > 1e-6) & (scaled >= 1e8) & (r < 1e9)
+            lead, rest = np.divmod(np.where(decided, r, 1e8).astype(np.int64), 10**8)
+        exponent = 8 - shift
+        out = np.empty((len(x), 14), np.uint8)
+        out[:] = np.frombuffer(b"0.00000000e+00", np.uint8)
+        out[:, 0] = lead + ord("0")
+        out[:, 2:6] = table[rest // 10**4]
+        out[:, 6:10] = table[rest % 10**4]
+        out[:, 11] = np.where(exponent < 0, ord("-"), ord("+"))
+        out[:, 12:14] = table[np.abs(exponent), 2:]
+        return out, decided
+
+    phi_text, phi_decided = text(grid)
+    value_text, value_decided = text(signed)
+    negative = grid < 0
+    decided = phi_decided & (value_decided | ~defined)
+    layout = negative * np.int8(4) + defined * np.int8(2) + decided
+    bounds = [0, *(np.flatnonzero(np.diff(layout)) + 1).tolist(), len(grid)]
+    # (first row or None for verbatim text, copies, line): a decided run is
+    # copies of its layout's line, its digits filled in below.
+    blocks = [(None, 1, header.encode())]
+    for a, b in zip(bounds, bounds[1:]):
+        if decided[a]:
+            blocks.append((a, b - a, row(-1.0 if negative[a] else 1.0, 1.0, defined[a]).encode()))
+        else:
+            rows = map(row, grid[a:b].tolist(), signed[a:b].tolist(), defined[a:b].tolist())
+            blocks.append((None, 1, "".join(rows).encode()))
+    out = np.empty(sum(copies * len(line) for _, copies, line in blocks), np.uint8)
+    end = 0
+    for a, copies, line in blocks:
+        start, end = end, end + copies * len(line)
+        run = out[start:end].reshape(copies, len(line))
+        run[:] = np.frombuffer(line, np.uint8)
+        if a is not None:
+            sign = int(negative[a])
+            run[:, sign:sign + 14] = phi_text[a:a + copies]
+            if defined[a]:
+                run[:, sign + 15:sign + 29] = value_text[a:a + copies]
+    del phi_text, value_text
+    return str(out, "ascii")
+
+
 def sweep_rows(cfg: InstrumentConfig, from_rad: float, to_rad: float, points: int) -> str:
     """CSV text of the accidental phase error over a total-phase range.
 
     Columns are fixed (see ``SWEEP_COLUMNS``); undefined grid points carry
     an empty error field and a 0 flag.  Output is locale-independent and
     bit-stable across runs.  ``points`` is bounded by the physical memory
-    at ``SWEEP_BYTES_PER_ROW`` per row (about 2.4e7 rows per 8 GiB), and a
-    larger count is refused before anything is allocated.
+    at ``SWEEP_BYTES_PER_ROW`` per row (about 4.5e7 rows per 8 GiB), and a
+    larger count is refused before anything is allocated.  A range whose
+    span, or whose largest end times the entangled order N, overflows is
+    refused too.
     """
     import numpy as np
     if points < 2:
@@ -234,15 +315,16 @@ def sweep_rows(cfg: InstrumentConfig, from_rad: float, to_rad: float, points: in
     _require_finite(to_rad, "--to")
     if not to_rad > from_rad:
         raise ValueError("sweep range: --from must be strictly below --to")
+    order = cfg.source.noon_order
+    if not (math.isfinite(to_rad - from_rad) and math.isfinite(order * max(abs(from_rad), abs(to_rad)))):
+        raise ValueError(f"sweep range: --from {from_rad!r} and --to {to_rad!r} overflow: "
+                         f"their span or N = {order} times their magnitude is not a finite number")
     b = assemble_budget(cfg)
     grid = np.linspace(from_rad, to_rad, points)
     signed, defined = phase_shift_profile(b.effective_pairs, grid, b.noon_order, b.spurious)
     # Shot noise, its tenth and the cusp error are the same on every row.
     constants = f"{_e(b.shot_noise_rad)},{_e(0.1 * b.shot_noise_rad)},{_e(b.cusp_shift_rad)}"
-    lines = [",".join(SWEEP_COLUMNS)]
-    lines += [f"{phi:.8e},{abs(value):.8e},1,{constants}" if ok else f"{phi:.8e},,0,{constants}"
-              for phi, value, ok in zip(grid.tolist(), signed.tolist(), defined.tolist())]
-    return "\n".join(lines) + "\n"
+    return _sweep_text(",".join(SWEEP_COLUMNS) + "\n", grid, signed, defined, constants)
 
 
 def _write_sweep(cfg: InstrumentConfig, args) -> str:

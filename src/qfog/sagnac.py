@@ -22,7 +22,7 @@ def sagnac_phase(omega_rad_per_s: float, geom: GyroGeometry) -> float:
     direction) are allowed and flip the sign.
     """
     _require_finite(omega_rad_per_s, "omega_rad_per_s")
-    return (4.0 * math.pi * omega_rad_per_s * geom.fiber_length_m * geom.coil_radius_m
+    return (4.0 * math.pi * float(omega_rad_per_s) * geom.fiber_length_m * geom.coil_radius_m
             / (geom.wavelength_m * SPEED_OF_LIGHT_M_PER_S))
 
 
@@ -39,7 +39,7 @@ def coincidence_probability(pairs: float, phase: PhasePoint, order: int,
     _require(pairs >= 0.0, "pairs", "must be >= 0")
     _require_finite(coherence, "coherence")
     _require(0.0 <= coherence <= 1.0, "coherence", "must lie in [0, 1]")
-    return 0.5 * pairs * (1.0 + coherence * math.cos(order * phase.total_rad))
+    return 0.5 * float(pairs) * (1.0 + float(coherence) * math.cos(order * phase.total_rad))
 
 
 def _total_photons(order: int, total_photons: float | None, noon_pairs: float | None) -> float:
@@ -48,7 +48,7 @@ def _total_photons(order: int, total_photons: float | None, noon_pairs: float | 
     m = total_photons if total_photons is not None else order * noon_pairs
     _require_finite(m, "total_photons")
     _require(m > 0.0, "total_photons", "must be > 0 (phase uncertainty is undefined without photons)")
-    return m
+    return float(total_photons) if total_photons is not None else order * float(noon_pairs)
 
 
 def shot_noise(order: int, total_photons: float | None = None, *,

@@ -52,6 +52,9 @@ class SpuriousCount:
         _require(self.delta_pcc >= 0.0, "delta_pcc", "must be >= 0")
         _require_finite(self.rate_hz, "rate_hz")
         _require(self.rate_hz >= 0.0, "rate_hz", "must be >= 0")
+        # A NumPy float32 would keep its single precision through the inversion.
+        object.__setattr__(self, "delta_pcc", float(self.delta_pcc))
+        object.__setattr__(self, "rate_hz", float(self.rate_hz))
 
     @classmethod
     def from_count(cls, delta_pcc: float, measurement_time_s: float) -> "SpuriousCount":
@@ -124,7 +127,7 @@ def spurious_coincidences(singles_total: float, order: int, det: DetectionSpec,
     _require(order >= 2, "order", f"must be >= 2, got {order}")
     _require_finite(dark_rate_hz, "dark_rate_hz")
     _require(dark_rate_hz >= 0.0, "dark_rate_hz", "must be >= 0")
-    per_detector = singles_total / order + dark_rate_hz * det.measurement_time_s
+    per_detector = float(singles_total) / order + float(dark_rate_hz) * det.measurement_time_s
     return spurious_coincidences_per_detector([per_detector] * order, det)
 
 
@@ -139,9 +142,9 @@ def spurious_coincidences_per_detector(counts, det: DetectionSpec) -> SpuriousCo
         _require_finite(m, f"counts[{i}]")
         _require(m >= 0.0, f"counts[{i}]", "must be >= 0")
     ratio = det.jitter_s / det.measurement_time_s
-    count = counts[0]
+    count = float(counts[0])
     for m in counts[1:]:
-        count *= m * ratio
+        count *= float(m) * ratio
     return SpuriousCount.from_count(count, det.measurement_time_s)
 
 
@@ -196,6 +199,7 @@ def phase_shift_spurious(pairs: float, phase_total_rad: float, order: int,
         _require(pairs > 0.0, "pairs", "must be > 0")
         _require_finite(phase_total_rad, "phase_total_rad")
         _require(order >= 1, "order", f"must be >= 1, got {order}")
+        pairs, phase_total_rad = float(pairs), float(phase_total_rad)
     scaled = order * phase_total_rad
     acos_arg = 2.0 * count.delta_pcc / pairs + math.cos(scaled)
     if acos_arg > 1.0:
@@ -216,7 +220,7 @@ def phase_shift_cusp(pairs: float, order: int, count: SpuriousCount) -> float:
     """
     _require_finite(pairs, "pairs")
     _require(pairs > 0.0, "pairs", "must be > 0")
-    return 2.0 / order * math.sqrt(count.delta_pcc / pairs)
+    return 2.0 / order * math.sqrt(count.delta_pcc / float(pairs))
 
 
 def undefined_half_width(pairs: float, order: int, count: SpuriousCount) -> float:
@@ -229,7 +233,7 @@ def undefined_half_width(pairs: float, order: int, count: SpuriousCount) -> floa
     anywhere).
     """
     _require(pairs > 0.0, "pairs", "must be > 0")
-    fraction = count.delta_pcc / pairs
+    fraction = count.delta_pcc / float(pairs)
     if fraction >= 1.0:
         return math.pi / order
     return 2.0 * math.asin(math.sqrt(fraction)) / order
@@ -248,7 +252,7 @@ def phase_shift_profile(pairs: float, phase_total_rad, order: int,
     _require(pairs > 0.0, "pairs", "must be > 0")
     phases = np.asarray(phase_total_rad, dtype=float)
     scaled = order * phases
-    acos_arg = 2.0 * count.delta_pcc / pairs + np.cos(scaled)
+    acos_arg = 2.0 * count.delta_pcc / float(pairs) + np.cos(scaled)
     defined = acos_arg <= 1.0
     theta = np.arccos(np.clip(acos_arg, -1.0, 1.0))
     shift, _ = _minimal_branch(theta, scaled)
@@ -372,6 +376,8 @@ def bias_zone_scan(pairs: float, order: int, count: SpuriousCount,
     if safe_threshold_rad is None:
         safe_threshold_rad = shot_noise_rad
     _require(safe_threshold_rad > 0.0, "safe_threshold_rad", "must be > 0")
+    lo, hi = float(lo), float(hi)
+    shot_noise_rad, safe_threshold_rad = float(shot_noise_rad), float(safe_threshold_rad)
 
     cell = math.pi / order
     cells = (hi - lo) / cell
@@ -383,6 +389,7 @@ def bias_zone_scan(pairs: float, order: int, count: SpuriousCount,
 
     # Undefined cores at the coincidence maxima; saturated (w = pi/N) they tile the range.
     width = undefined_half_width(pairs, order, count)
+    pairs = float(pairs)
     clipped = [(max(2.0 * cell * k - width, lo), min(2.0 * cell * k + width, hi))
                for k in range(math.floor(lo / (2.0 * cell)), math.ceil(hi / (2.0 * cell)) + 1)]
     undefined = _merge_intervals((a, b) for a, b in clipped if a < b)
@@ -414,8 +421,8 @@ def bias_zone_scan(pairs: float, order: int, count: SpuriousCount,
         above_shot_noise_intervals=tuple(above_shot),
         safe_windows=tuple(_complement(above_safe, lo, hi)),
         optimal_bias_points=tuple(optimal),
-        shot_noise_rad=float(shot_noise_rad),
-        safe_threshold_rad=float(safe_threshold_rad),
+        shot_noise_rad=shot_noise_rad,
+        safe_threshold_rad=safe_threshold_rad,
         crossings_rad=tuple(crossings),
     )
 
@@ -436,7 +443,7 @@ def max_singles_flux(pairs_rate_hz: float, order: int, det: DetectionSpec) -> fl
     if pairs_rate_hz == 0.0:
         return 0.0
     t = det.measurement_time_s
-    pairs = pairs_rate_hz * t
+    pairs = float(pairs_rate_hz) * t
     target_shift = shot_noise(order, noon_pairs=pairs)
     # Exact inversion at quadrature; saturates at the largest reachable shift.
     target_count = 0.5 * pairs * math.sin(min(order * target_shift, 0.5 * math.pi))

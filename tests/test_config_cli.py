@@ -7,15 +7,18 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qfog
-from qfog import bias_zone_scan
-from qfog.cli import assemble_budget, main, sweep_rows
+from qfog import bias_zone_scan, phase_shift_profile
+from qfog.cli import SWEEP_BYTES_PER_ROW, SWEEP_COLUMNS, _sweep_text, assemble_budget, main, sweep_rows
 from qfog.config import (
     ConfigParseError,
     ConfigValidationError,
@@ -224,10 +227,14 @@ def test_accidental_count_overflow_exits_4_naming_its_inputs(command, tmp_path, 
     (["sweep", "--from", "0.0", "--to", "inf", "--points", "5", "--out", "s.csv"], "--to:"),
     (["sweep", "--from=-inf", "--to", "1.0", "--points", "5", "--out", "s.csv"], "--from:"),
     (["sweep", "--from", "nan", "--to", "1.0", "--points", "5", "--out", "s.csv"], "--from:"),
+    (["sweep", "--from=-1e308", "--to", "1e308", "--points", "5", "--out", "s.csv"],
+     "--from -1e+308 and --to 1e+308 overflow"),
+    (["sweep", "--from", "1.7e308", "--to", "1.75e308", "--points", "5", "--out", "s.csv"], "N = 2 times"),
     (["mc", "--workers", "0"], "workers"),
     (["mc", "--workers", "-3"], "workers"),
 ], ids=["sweep-one-point", "sweep-out-is-directory", "mc-scale-zero", "mc-scale-above-one",
-        "sweep-to-inf", "sweep-from-minus-inf", "sweep-from-nan", "mc-workers-zero", "mc-workers-negative"])
+        "sweep-to-inf", "sweep-from-minus-inf", "sweep-from-nan", "sweep-span-overflows",
+        "sweep-order-times-phase-overflows", "mc-workers-zero", "mc-workers-negative"])
 def test_bad_command_arguments_exit_4(args, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main([args[0], "--config", str(BENCH_CONFIG), *args[1:]]) == 4
@@ -512,6 +519,123 @@ def test_mc_experiment_applies_coherence_once(tmp_path, bench_dict, capsys):
 
 # sha256 of the stdout of each report on the shipped configs; the text
 # layout of every report is pinned byte for byte.
+def reference_rows(grid, signed, defined, constants):
+    # The row-by-row renderer that the NumPy one replaced, kept as the oracle of its bytes.
+    return "".join(f"{phi:.8e},{abs(value):.8e},1,{constants}\n" if ok else f"{phi:.8e},,0,{constants}\n"
+                   for phi, value, ok in zip(grid.tolist(), signed.tolist(), defined.tolist()))
+
+
+def reference_sweep(cfg, from_rad, to_rad, points):
+    b = assemble_budget(cfg)
+    grid = np.linspace(from_rad, to_rad, points)
+    signed, defined = phase_shift_profile(b.effective_pairs, grid, b.noon_order, b.spurious)
+    constants = f"{b.shot_noise_rad:.8e},{0.1 * b.shot_noise_rad:.8e},{b.cusp_shift_rad:.8e}"
+    return ",".join(SWEEP_COLUMNS) + "\n" + reference_rows(grid, signed, defined, constants)
+
+
+def rendered_and_expected(values, defined=None):
+    """Sweep rows with ``values`` as both the phase and the error, from the renderer and the oracle."""
+    grid = np.array(values, dtype=float)
+    ok = np.ones(len(grid), bool) if defined is None else np.array(defined, bool)
+    signed = np.where(ok, grid, np.nan)
+    return _sweep_text("", grid, signed, ok, "c"), reference_rows(grid, signed, ok, "c")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Doubles nearest to a tie of the ninth significant digit, ``d.dddddddd5e+k``.
+NEAR_TIES = st.builds(lambda m, k: float(f"{m}5e{k}"), st.integers(10**8, 10**9 - 1), st.integers(-40, 40))
+# Zeros, the least subnormal, exponents past the table, each power of ten with
+# its neighbours and the value just below it that rounds up to it, exact ties
+# k/1024 (ten significant digits ending in 5) and 123456789.5.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e300, 1e-300, 123456789.5, *(k / 1024 for k in range(103, 1024, 2)),
+               *(x for k in range(-20, 36) for p in [float(f"1e{k}")]
+                 for x in (math.nextafter(p, 0.0), p, math.nextafter(p, math.inf), float(f"9.9999999995e{k}")))]
+
+
+def test_sweep_renderer_matches_the_f_string_on_edge_values():
+    values = EDGE_FLOATS + [-x for x in EDGE_FLOATS]
+    text, expected = rendered_and_expected(values)
+    assert text == expected
+    for x in values:
+        row = f"{x:.8e},{abs(x):.8e},1,c\n"
+        assert rendered_and_expected([x]) == (row, row)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.tuples(st.one_of(FINITE, NEAR_TIES), st.booleans()), min_size=1, max_size=30))
+def test_sweep_renderer_matches_the_f_string_on_any_double(points):
+    text, expected = rendered_and_expected([x for x, _ in points], [ok for _, ok in points])
+    assert text == expected
+
+
+@pytest.mark.parametrize("config", [BENCH_CONFIG, PROJECTED_CONFIG], ids=["silvestri2024", "projected2025"])
+@pytest.mark.parametrize("from_rad, to_rad", [(-0.5, math.pi + 0.5), (-1e-9, 1e-9), (0.0, 1024.0),
+                                              (-1e30, 1e30), (-10.0, 10.0)])
+@pytest.mark.parametrize("order", [2, 40])
+def test_sweep_rows_equal_the_row_by_row_renderer(config, from_rad, to_rad, order):
+    data = json.loads(config.read_text())
+    data["source"]["noon_order"] = order
+    cfg = config_from_dict(data)
+    assert sweep_rows(cfg, from_rad, to_rad, 3001) == reference_sweep(cfg, from_rad, to_rad, 3001)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(valid_config_dicts(), st.floats(-20.0, 0.0), st.floats(0.0, 20.0), st.integers(2, 400))
+def test_sweep_rows_equal_the_row_by_row_renderer_on_edge_configs(data, from_rad, to_rad, points):
+    # Ranges across 0; orders up to 64 and accidental counts up to the
+    # saturated one give many undefined runs.
+    cfg = config_from_dict(data)
+    try:
+        text = sweep_rows(cfg, from_rad, to_rad, points)
+    except ValueError:
+        return
+    assert text == reference_sweep(cfg, from_rad, to_rad, points)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.sampled_from([BENCH_CONFIG, PROJECTED_CONFIG]), FINITE, FINITE, st.integers(2, 20))
+def test_sweep_rows_over_the_whole_float_range(config, from_rad, to_rad, points):
+    # Either the CSV or a ValueError for an empty or overflowing range, never a warning.
+    cfg = load_config(config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            text = sweep_rows(cfg, from_rad, to_rad, points)
+        except ValueError:
+            assert not (to_rad > from_rad and math.isfinite(to_rad - from_rad)
+                        and math.isfinite(cfg.source.noon_order * max(abs(from_rad), abs(to_rad))))
+            return
+        assert text == reference_sweep(cfg, from_rad, to_rad, points)
+
+
+def test_sweep_peak_memory_stays_within_its_guard():
+    # The guard refuses a sweep by SWEEP_BYTES_PER_ROW; the traced peak must stay below it.
+    cfg = load_config(BENCH_CONFIG)
+    points = 10**5
+    sweep_rows(cfg, -0.5, math.pi + 0.5, 2)
+    tracemalloc.start()
+    try:
+        sweep_rows(cfg, -0.5, math.pi + 0.5, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= SWEEP_BYTES_PER_ROW * points
+
+
+@pytest.mark.parametrize("config", [BENCH_CONFIG, PROJECTED_CONFIG], ids=["silvestri2024", "projected2025"])
+def test_commands_leave_stderr_empty_with_warnings_as_errors(config, tmp_path):
+    # Pytest's warning filter does not reach a subprocess, so each command runs under -W error.
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    extra = {"budget": [], "omega-min": [], "zones": ["--threshold", "tenth"],
+             "sweep": ["--from", "-0.5", "--to", repr(math.pi + 0.5), "--points", "1001",
+                       "--out", str(tmp_path / "s.csv")],
+             "mc": ["--trials", "30", "--scale", "0.001"]}
+    for command, args in extra.items():
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "qfog.cli", command, "--config", str(config),
+                               *args], env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, ""), command
+
+
 CLI_DIGESTS = {
     ("silvestri2024", "budget"): "3a9e746c2b7764a6b9492514feba744bcea707574a204fb9e9307352ca730f54",
     ("silvestri2024", "omega-min"): "00ee8720b68abbff82e3130377f5a152044711c64f93bb265c1ae074c505fe16",

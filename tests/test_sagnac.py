@@ -126,3 +126,23 @@ def test_omega_min_refuses_a_scale_factor_that_underflows(fiber_length_m):
     scale = "5e-324" if fiber_length_m == 1e-322 else "0.0"
     assert str(raised.value) == (f"geometry: the Sagnac scale factor 4*pi*L*r/(lambda*c) = {scale} underflows: "
                                  "no finite rotation floor")
+
+
+# NumPy 2 keeps a float32 operand's single precision against Python floats,
+# so each entry point converts the scalars it validated.
+FLOAT32_CALLS = {
+    "sagnac_phase": (lambda w: sagnac_phase(w, GEOM), (EARTH,)),
+    "coincidence_probability": (lambda p, c: coincidence_probability(p, PhasePoint(0.3), 2, c), (7.2e6, 0.9)),
+    "shot_noise total_photons": (lambda m: shot_noise(3, m), (1.44e7 + 1,)),
+    "shot_noise noon_pairs": (lambda p: shot_noise(3, noon_pairs=p), (7.2e6 + 1,)),
+    "omega_min": (lambda p: omega_min(GEOM, 3, noon_pairs=p), (7.2e6 + 1,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT32_CALLS))
+def test_float32_inputs_give_the_float64_results_as_python_floats(name):
+    call, values = FLOAT32_CALLS[name]
+    single = [np.float32(v) for v in values]
+    got, expected = call(*single), call(*map(float, single))
+    assert got == expected
+    assert type(got) is float

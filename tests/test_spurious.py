@@ -186,6 +186,33 @@ def test_phase_shift_takes_numpy_and_int_inputs_like_floats(phi):
         assert phase_shift_spurious(PAIRS, int(phi), 2, COUNT) == expected
 
 
+# NumPy 2 keeps a float32 operand's single precision against Python floats,
+# so each entry point converts the scalars it validated.
+FLOAT32_CALLS = {
+    "phase_shift_spurious": (lambda p, phi: phase_shift_spurious(p, phi, 2, COUNT)[:1], (PAIRS, 0.3)),
+    "phase_shift_cusp": (lambda p: (phase_shift_cusp(p, 2, COUNT),), (PAIRS,)),
+    "undefined_half_width": (lambda p: (undefined_half_width(p, 2, COUNT),), (PAIRS,)),
+    "phase_shift_profile": (lambda p, phi: tuple(phase_shift_profile(p, [phi], 2, COUNT)[0].tolist()), (PAIRS, 0.3)),
+    "spurious_coincidences": (lambda s, d: tuple(vars(spurious_coincidences(s, 2, DET, d)).values()), (6.84e7, 0.3)),
+    "spurious_coincidences_per_detector":
+        (lambda a, b: tuple(vars(spurious_coincidences_per_detector([a, b], DET)).values()), (3.4e7, 3.3e7)),
+    "SpuriousCount": (lambda d, r: tuple(vars(SpuriousCount(d, r)).values()), (101.3, 0.3)),
+    "max_singles_flux": (lambda r: (max_singles_flux(r, 2, DET),), (4000.3,)),
+    "bias_zone_scan": (lambda p, lo, s: (lambda r: r.crossings_rad + r.cusp_locations + r.optimal_bias_points
+                                         + (r.shot_noise_rad, r.safe_threshold_rad))(
+        bias_zone_scan(p, 2, COUNT, s, phase_range=(lo, 3.0))), (PAIRS, 0.1, SHOT)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT32_CALLS))
+def test_float32_inputs_give_the_float64_results_as_python_floats(name):
+    call, values = FLOAT32_CALLS[name]
+    single = [np.float32(v) for v in values]
+    got, expected = call(*single), call(*map(float, single))
+    assert got == expected
+    assert all(type(x) is float for x in got)
+
+
 def test_phase_shift_solution_is_an_immutable_record():
     solution = phase_shift_spurious(PAIRS, math.pi / 4, 2, COUNT)
     assert repr(solution) == ("PhaseShiftSolution(value_rad=-1.4069444446374035e-05, branch_sign=1, "
