@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import SPEED_OF_LIGHT_M_PER_S, _require, _require_finite
+from .model import SPEED_OF_LIGHT_M_PER_S, _require, _require_finite, _store_floats
 
 COHERENCE_EXPONENT_CONSTANT = 3.5
 
@@ -33,6 +33,7 @@ class SpectralSpec:
         _require(self.linewidth_m > 0.0, "linewidth_m", "must be > 0")
         _require(self.linewidth_m < self.center_wavelength_m, "linewidth_m",
                  "linewidth must be smaller than the center wavelength")
+        _store_floats(self, "center_wavelength_m", "linewidth_m")
 
 
 @dataclass(frozen=True)
@@ -54,12 +55,13 @@ class DispersionSpec:
     pump_temp_stability_degc: float = 0.01
 
     def __post_init__(self) -> None:
-        for name in ("chromatic_coeff_ps_per_km_nm", "pmd_coeff_ps_per_sqrt_km",
-                     "reciprocal_delay_s", "pump_drift_nm_per_degc",
-                     "pump_temp_stability_degc"):
+        names = ("chromatic_coeff_ps_per_km_nm", "pmd_coeff_ps_per_sqrt_km", "reciprocal_delay_s",
+                 "pump_drift_nm_per_degc", "pump_temp_stability_degc")
+        for name in names:
             value = getattr(self, name)
             _require_finite(value, name)
             _require(value >= 0.0, name, "must be >= 0")
+        _store_floats(self, *names)
 
 
 def coherence_time(spec: SpectralSpec) -> float:

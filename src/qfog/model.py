@@ -42,6 +42,15 @@ def _require_memory(nbytes: float, field: str, what: str) -> None:
              f"the {physical / 2**30:.3g} GiB of physical memory")
 
 
+def _store_floats(obj, *fields: str) -> None:
+    """Store validated fields of a frozen dataclass as Python floats.
+
+    A NumPy float32 would keep its single precision through every formula.
+    """
+    for field in fields:
+        object.__setattr__(obj, field, float(getattr(obj, field)))
+
+
 def _require_finite(value: float, field: str) -> None:
     if not (_is_real(value) and math.isfinite(value)):
         raise ValueError(f"{field}: must be a finite number, got {value!r}")
@@ -85,6 +94,7 @@ class GyroGeometry:
             _require(value > 0.0, name, f"must be > 0, got {value}")
         _require(100e-9 < self.wavelength_m < 10e-6, "wavelength_m",
                  f"outside the optical sanity band (100 nm, 10 um): {self.wavelength_m}")
+        _store_floats(self, "fiber_length_m", "coil_radius_m", "wavelength_m")
 
 
 @dataclass(frozen=True)
@@ -113,6 +123,7 @@ class SourceSpec:
                  f"must lie in (0, 1], got {self.initial_noon_fraction}")
         _require_finite(self.dark_rate_hz, "dark_rate_hz")
         _require(self.dark_rate_hz >= 0.0, "dark_rate_hz", "must be >= 0")
+        _store_floats(self, "pair_rate_hz", "initial_noon_fraction", "dark_rate_hz")
 
 
 @dataclass(frozen=True)
@@ -127,6 +138,7 @@ class OpticalPath:
         _require(self.fiber_loss_db_per_km >= 0.0, "fiber_loss_db_per_km", "must be >= 0")
         _require_finite(self.lumped_loss_db, "lumped_loss_db")
         _require(self.lumped_loss_db >= 0.0, "lumped_loss_db", "must be >= 0")
+        _store_floats(self, "fiber_loss_db_per_km", "lumped_loss_db")
 
 
 @dataclass(frozen=True)
@@ -146,6 +158,7 @@ class DetectionSpec:
                  "timing jitter must be smaller than the measurement time")
         _require(isinstance(self.window_mode, WindowMode), "window_mode",
                  f"must be a WindowMode, got {self.window_mode!r}")
+        _store_floats(self, "jitter_s", "measurement_time_s")
 
 
 @dataclass(frozen=True)
@@ -162,6 +175,7 @@ class PhasePoint:
     def __post_init__(self) -> None:
         _require_finite(self.sagnac_phase_rad, "sagnac_phase_rad")
         _require_finite(self.bias_phase_rad, "bias_phase_rad")
+        _store_floats(self, "sagnac_phase_rad", "bias_phase_rad")
 
     @property
     def total_rad(self) -> float:

@@ -4,7 +4,8 @@ Simulates Poisson photon arrival streams at each detector and counts
 N-fold coincidences the way real counting electronics would, providing an
 independent empirical check of the analytic accidental-count formula and
 of the phase bias it induces.  Both window modes count a trial one chunk
-of its record at a time, as sorted keys labelled by detector.
+of its record at a time, as sorted keys labelled by detector, on one walk
+that keeps only the arrivals with a close neighbour.
 
 Determinism contract: every draw depends only on ``(seed, trial_index)``,
 so results are bit-identical for a given seed no matter how trials are
@@ -38,9 +39,9 @@ MAX_WINDOWS = 2**46
 # 2**13 ... 2**18, 2**15 counted fastest in both modes: chunks this small sort in cache.
 CHUNK_EVENTS = 2**15
 
-# Peak memory per arrival a trial holds (a chunk's, and a sliding trial's survivors),
-# rounded up from 7e5- and 7e6-event trials: 36-77 bytes per chunk arrival (traced
-# peak), 64-66 per survivor (peak RSS growth of a sliding trial where all survive).
+# Peak memory per arrival a trial holds (a chunk's and the survivors), rounded up
+# from 7e5- and 7e6-event trials: 30-31 bytes per chunk arrival (traced peak), 39 per
+# binned and 63-67 per sliding survivor (peak RSS growth of a trial where all survive).
 BYTES_PER_EVENT = 80
 
 # Experiment trials per generator: building one costs far more than a trial's draws.
@@ -158,77 +159,79 @@ def _chunk_ticks(rng: np.random.Generator, counts: np.ndarray):
         yield [rng.integers(c * span, (c + 1) * span, n, dtype=np.int64) for n in row]
 
 
-def _chunk_keys(carried: np.ndarray, xs: list[np.ndarray]) -> tuple[np.ndarray, int]:
-    """The carried keys and one chunk's keys ``x << b | d``, sorted, and b.
+def _survivor_keys(chunks, width: float) -> tuple[np.ndarray, int, int]:
+    """Sorted keys ``t << b | d`` of the arrivals with a merged neighbour within reach; b; N.
 
-    ``xs[d]`` holds detector d's ticks (sliding) or windows (binned); b bits label d.
+    ``chunks`` yields each chunk's ticks per detector d, in time order; b
+    bits label d.  Each chunk's keys follow the previous chunk's last key.
+    Reach is ``steps << b``, steps = ceil(min(w, 1) * 2**53) + 7 for a
+    window w = ``width`` of the record.  Sliding, w = tau/T: two arrivals
+    that both pass one anchor's float test t_a <= t <= t_a + tau differ by
+    at most ceil(w * 2**53) + 6 ticks, as u*T, t_a + tau and w each round by
+    at most 2**-53 relative, u < 1 (beyond w = 1 every arrival is within
+    reach).  Binned, w = 1/n_windows: t * (n_windows / 2**53) rounds by at
+    most 2**-53 * n_windows, one tick, so two ticks in one window differ by
+    at most 2**53 / n_windows + 2, and w rounds by under one tick.  One more
+    tick covers the detector bits of a key difference; the cap keeps reach
+    inside int64.
     """
-    b = max(1, (len(xs) - 1).bit_length())
-    keys = np.empty(carried.size + sum(x.size for x in xs), dtype=np.int64)
-    keys[:carried.size] = carried
-    start = carried.size
-    for d, x in enumerate(xs):
-        key = keys[start:start + x.size]
-        start += x.size
-        np.left_shift(x, b, out=key)
-        key |= d
-    keys.sort()
-    return keys, b
+    steps = math.ceil(min(width, 1.0) * TICKS) + 7
+    parts, last, held = [np.empty(0, dtype=np.int64)], None, False
+    for ticks in chunks:  # at least one chunk
+        n, b = len(ticks), max(1, (len(ticks) - 1).bit_length())
+        keys, start = np.empty(sum(t.size for t in ticks), dtype=np.int64), 0
+        for d, t in enumerate(ticks):
+            key, start = keys[start:start + t.size], start + t.size
+            np.left_shift(t, b, out=key)
+            if d:
+                key |= d
+        if not keys.size:
+            continue
+        keys.sort()
+        reach = min(steps << b, 2**63 - 1)
+        joined = last is not None and keys[0] - last[0] <= reach
+        if held or joined:
+            parts.append(last)
+        close, held = np.diff(keys) <= reach, False
+        if joined or close.any():  # rarely: most chunks hold no pair within reach
+            keep = np.zeros(keys.size, dtype=bool)
+            keep[1:], keep[0] = close, joined
+            keep[:-1] |= close
+            parts.append(keys[:-1][keep[:-1]])
+            held = bool(keep[-1])
+        last = keys[-1:].copy()
+    return np.concatenate(parts + [last] * held), b, n
 
 
-def _binned_count(chunks, span: int, n_windows: float) -> float:
+def _binned_count(chunks, n_windows: float) -> float:
     """Windows (out of n_windows) holding at least one arrival per detector.
 
-    ``chunks`` yields the tick arrays of consecutive chunks of ``span`` ticks.
-    A chunk's keys hold each arrival's window and detector; sorted with the
-    carried keys, repeats dropped, a window is full when N consecutive keys
-    share it.  Windows below the window of the next chunk's first tick are
-    final and counted, the other keys carried.  The last chunk counts all,
-    the partial last window included.
+    An arrival in a shared window has a merged neighbour there, so only the
+    survivors of ``_survivor_keys`` share windows.  Their keys ``w << b | d``,
+    w = int(t * n_windows / 2**53), sorted and deduplicated, make a window
+    full when N consecutive keys share it, the partial last one included.
     """
-    scale = n_windows / TICKS  # exact: TICKS is a power of two
-    total, carried = 0, np.empty(0, dtype=np.int64)
-    for c, ticks in enumerate(chunks, 1):
-        # t.astype(float) * scale = t * scale, whose mixed-type loop is slower.
-        keys, b = _chunk_keys(carried, [(t.astype(float) * scale).astype(np.int64) for t in ticks])
-        first = np.ones(keys.size, dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        keys = keys[first]
-        cut = np.searchsorted(keys, int(c * span * scale) << b) if c * span < TICKS else keys.size
-        windows, n = keys[:cut] >> b, len(ticks)
-        total += int(np.count_nonzero(windows[n - 1:] == windows[:max(0, cut - n + 1)]))
-        carried = keys[cut:]
-    return float(total)
+    keys, b, n = _survivor_keys(chunks, 1.0 / n_windows)
+    # t.astype(float) * scale = t * scale, whose mixed-type loop is slower; scale is exact.
+    windows = ((keys >> b).astype(float) * (n_windows / TICKS)).astype(np.int64)
+    keys = np.sort(windows << b | keys & ((1 << b) - 1))
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    windows = keys[first] >> b
+    return float(np.count_nonzero(windows[n - 1:] == windows[:max(0, windows.size - n + 1)]))
 
 
 def _sliding_count(chunks, t_meas: float, tau: float) -> float:
     """N-fold groups (one arrival per detector) with spread <= tau.
 
-    An arrival's key holds its tick and its detector.  Inside a group's span
-    every gap between consecutive merged arrivals is at most tau, so an
-    arrival with no merged neighbour within reach is in no group.  A chunk's
-    keys follow the previous chunk's last key, whose keep flag its right
-    neighbour may still set.  The survivors, decoded bit for bit, give
-    ``_searchsorted_count`` its count on every arrival; a detector left
-    without survivors means no group.
+    Inside a group's span every gap between consecutive merged arrivals is
+    at most tau, so only the survivors of ``_survivor_keys`` can be in a
+    group.  Decoded bit for bit, they give ``_searchsorted_count`` its count
+    on every arrival; a detector left without survivors means no group.
     """
-    # Two arrivals that both pass one anchor's float test t_a <= t <= t_a + tau differ in tick
-    # by at most ceil(tau/T * 2**53) + 6: u*T, t_a + tau and tau/T each round by at most 2**-53
-    # relative, with u < 1 and tau/T capped at 1 (beyond it every arrival is within reach).  One
-    # more unit covers the detector bits of a key difference; the cap keeps reach inside int64.
-    steps = math.ceil(min(tau / t_meas, 1.0) * TICKS) + 7
-    parts, last, held = [], np.empty(0, dtype=np.int64), np.zeros(0, dtype=bool)
-    for ticks in chunks:  # at least one chunk
-        keys, b = _chunk_keys(last, ticks)
-        close = np.diff(keys) <= min(steps << b, 2**63 - 1)
-        keep = np.zeros(keys.size, dtype=bool)
-        keep[1:], keep[:held.size] = close, held
-        keep[:-1] |= close
-        parts.append(keys[:-1][keep[:-1]])
-        last, held = keys[-1:], keep[-1:]
-    keys = np.concatenate(parts + [last[held]])
+    keys, b, n = _survivor_keys(chunks, tau / t_meas)
     labels, draws = keys & ((1 << b) - 1), (keys >> b) / TICKS
-    survivors = [draws[labels == d] for d in range(len(ticks))]
+    survivors = [draws[labels == d] for d in range(n)]
     if any(s.size == 0 for s in survivors):
         return 0.0
     return _searchsorted_count(survivors, t_meas, tau)
@@ -257,7 +260,7 @@ def _uncorrelated_trial(seed, rates, t_meas, tau, binned, index) -> float:
     rng = rng_stream(seed, index)
     counts = _chunk_counts(rng, rates, t_meas)
     if binned:
-        return _binned_count(_chunk_ticks(rng, counts), TICKS // len(counts), t_meas / tau)
+        return _binned_count(_chunk_ticks(rng, counts), t_meas / tau)
     return _sliding_count(_chunk_ticks(rng, counts), t_meas, tau)
 
 
@@ -290,22 +293,20 @@ def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McC
     earliest arrival, ``sum_d m_d * prod_{j!=d} (m_j * tau / T)``, N times
     the binned mean, less an O(tau / T) edge term.
 
-    Both counts walk the chunks alike: a chunk's arrivals become int64 keys
-    ``x << b | d`` (x a window when binned, a tick when sliding, d the
-    detector), sorted once with the keys carried in.  Binned drops repeats,
-    counts the final windows that N keys share and carries the boundary
-    window's keys; sliding keeps the arrivals with a merged neighbour within
-    tau (every group member has one), carries the chunk's last key, and
-    counts the survivors exactly by ``searchsorted``.  The 17-bit label
-    beside a window below 2**46, or the 10-bit one beside a 53-bit tick,
-    caps binned mode at 2**17 detectors and sliding mode at 1024.
+    Both counts share one walk: a chunk's arrivals become int64 keys
+    ``t << b | d`` (t the tick, d the detector), sorted, and only the
+    arrivals with a merged neighbour within one jitter survive; every member
+    of a group or of a shared window has one.  Binned counts the windows
+    that N survivors share, sliding counts the survivors exactly by
+    ``searchsorted``.  The 10-bit label beside a 53-bit tick caps either
+    mode at 1024 detectors.
 
-    A trial holds its K x N chunk counts, one chunk and, when sliding, the
-    survivors, about ``events * (1 - exp(-2 * sum(rate) * tau))`` of its
-    ``events = sum(rate) * t_meas``.  The guard charges 8 bytes per chunk
-    count and ``BYTES_PER_EVENT`` per expected arrival held, times the
-    trials in flight, ``min(workers, trials)`` (a pool starts them all at
-    once); a run above the physical memory is refused before any draw.
+    A trial holds its K x N chunk counts, one chunk and the survivors,
+    about ``events * (1 - exp(-2 * sum(rate) * tau))`` of its ``events =
+    sum(rate) * t_meas``.  The guard charges 8 bytes per chunk count and
+    ``BYTES_PER_EVENT`` per expected arrival held, times the trials in
+    flight, ``min(workers, trials)`` (a pool starts them all at once); a run
+    above the physical memory is refused before any draw.
 
     In either mode the window count ``t_meas / jitter`` may not exceed
     ``MAX_WINDOWS`` = 2**46.  Arrival times have 2**53 levels (the lattice
@@ -325,17 +326,16 @@ def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McC
     if mc.window_mode not in (None, det.window_mode):
         raise ValueError(f"window_mode: McConfig {mc.window_mode.value!r} != spec {det.window_mode.value!r}")
     binned = det.window_mode is WindowMode.BINNED
-    bits = 17 if binned else 10  # beside a 46-bit window or a 53-bit tick in one int64 key
-    _require(len(rates) <= 2**bits, "singles_rate_per_detector",
-             f"{det.window_mode.value} mode labels each arrival with {bits} bits, "
-             f"so it counts at most {2**bits} detectors, got {len(rates)}")
+    _require(len(rates) <= 1024, "singles_rate_per_detector",
+             "an arrival's key holds its 53-bit tick and a 10-bit detector label, "
+             f"so at most 1024 detectors are counted, got {len(rates)}")
     _require(t_meas / tau <= MAX_WINDOWS, "measurement_time_s",
              f"window count {t_meas / tau:.3e} exceeds 2**46, the most the uniform "
              "draw resolves; scale the measurement time down")
     _require(workers >= 1, "workers", f"must be >= 1, got {workers}")
     events, in_flight = sum(rates) * t_meas, min(workers, mc.trials)
     chunks = _chunk_grid(rates, t_meas)
-    held = events / chunks + (0.0 if binned else -events * math.expm1(-2.0 * sum(rates) * tau))
+    held = events / chunks - events * math.expm1(-2.0 * sum(rates) * tau)
     _require_memory((8 * chunks * len(rates) + BYTES_PER_EVENT * held) * in_flight,
                     "singles_rate_per_detector", f"{in_flight} trial(s) of {events:.3e} arrivals in flight")
 

@@ -21,7 +21,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .model import DetectionSpec, _require, _require_finite, _require_memory
+from .model import DetectionSpec, _require, _require_finite, _require_memory, _store_floats
 from .sagnac import shot_noise
 
 # Residual of |dphi| - threshold, in rad, at which bisection accepts a crossing.
@@ -52,9 +52,7 @@ class SpuriousCount:
         _require(self.delta_pcc >= 0.0, "delta_pcc", "must be >= 0")
         _require_finite(self.rate_hz, "rate_hz")
         _require(self.rate_hz >= 0.0, "rate_hz", "must be >= 0")
-        # A NumPy float32 would keep its single precision through the inversion.
-        object.__setattr__(self, "delta_pcc", float(self.delta_pcc))
-        object.__setattr__(self, "rate_hz", float(self.rate_hz))
+        _store_floats(self, "delta_pcc", "rate_hz")
 
     @classmethod
     def from_count(cls, delta_pcc: float, measurement_time_s: float) -> "SpuriousCount":

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import qfog
 from qfog import bias_zone_scan, phase_shift_profile
+from qfog import cli
 from qfog.cli import SWEEP_BYTES_PER_ROW, SWEEP_COLUMNS, _sweep_text, assemble_budget, main, sweep_rows
 from qfog.config import (
     ConfigParseError,
@@ -590,6 +591,25 @@ def test_sweep_rows_equal_the_row_by_row_renderer_on_edge_configs(data, from_rad
     except ValueError:
         return
     assert text == reference_sweep(cfg, from_rad, to_rad, points)
+
+
+def test_aliased_sweep_joins_short_runs_into_template_blocks(monkeypatch, bench_dict):
+    # A grid far coarser than pi/N flips the defined flag every row or two.  Runs
+    # shorter than SWEEP_MIN_RUN rows join one template block instead of each
+    # making a matrix block; the blocks tile the rows and the bytes stay the oracle's.
+    bench_dict["source"]["initial_noon_fraction"] = 0.01
+    cfg, points = config_from_dict(bench_dict), 10**5
+    built, real = [], cli._sweep_blocks
+    monkeypatch.setattr(cli, "_sweep_blocks", lambda *args: built.append(real(*args)) or built[-1])
+    assert sweep_rows(cfg, -1e30, 1e30, points) == reference_sweep(cfg, -1e30, 1e30, points)
+    b = assemble_budget(cfg)
+    _, defined = phase_shift_profile(b.effective_pairs, np.linspace(-1e30, 1e30, points), b.noon_order, b.spurious)
+    flips = np.count_nonzero(np.diff(defined))
+    (blocks,) = built
+    assert flips > 10**4 and len(blocks) < flips / 50
+    assert [a for a, _, _ in blocks] == [0, *(end for _, end, _ in blocks[:-1])] and blocks[-1][1] == points
+    assert all(end - a >= cli.SWEEP_MIN_RUN for a, end, matrix in blocks if matrix)
+    assert all(first or second for (*_, first), (*_, second) in zip(blocks, blocks[1:]))
 
 
 @settings(max_examples=300, deadline=None, database=None)

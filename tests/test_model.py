@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qfog import DetectionSpec, GyroGeometry, OpticalPath, PhasePoint, SourceSpec, WindowMode
+from qfog import (DetectionSpec, DispersionSpec, GyroGeometry, OpticalPath, PhasePoint, SourceSpec, SpectralSpec,
+                  WindowMode, sagnac_phase)
 from qfog.model import _require_finite
 
 
@@ -94,3 +95,32 @@ def test_require_finite_names_the_field_and_value(value, shown):
 @pytest.mark.parametrize("value", [True, 0, 1.5, np.int64(7200000), np.int32(-3), np.float32(0.25)])
 def test_require_finite_accepts_numbers(value):
     _require_finite(value, "f")
+
+
+_FLOAT_FIELDS = [
+    (GyroGeometry, (2000.0, 0.1, 1.55e-6)),
+    (SourceSpec, (2, 4000.0, 0.95, 3.0)),
+    (OpticalPath, (0.35, 9.3)),
+    (DetectionSpec, (156e-12, 1800.0)),
+    (PhasePoint, (1.0e-3, 0.5)),
+    (SpectralSpec, (1550e-9, 1e-9)),
+    (DispersionSpec, (0.01, 0.1, 1e-15, 0.2, 0.01)),
+]
+
+
+@pytest.mark.parametrize("cls, values", _FLOAT_FIELDS, ids=[cls.__name__ for cls, _ in _FLOAT_FIELDS])
+def test_value_types_store_python_floats(cls, values):
+    # NumPy 2 keeps a float32 field's single precision against Python floats, so every
+    # validated float field is stored as the float of its value; noon_order stays an int.
+    spec = cls(*(v if isinstance(v, int) else np.float32(v) for v in values))
+    for field, value in zip(dataclasses.fields(cls), values):
+        stored = getattr(spec, field.name)
+        assert type(stored) is type(value), field.name
+        assert stored == float(np.float32(value)) if type(value) is float else stored == value
+
+
+def test_float32_geometry_gives_a_float_phase():
+    geometry = GyroGeometry(np.float32(2000.0), np.float32(0.1), 1.55e-6)
+    phase = sagnac_phase(7.29e-5, geometry)
+    assert type(phase) is float
+    assert phase == sagnac_phase(7.29e-5, GyroGeometry(2000.0, float(np.float32(0.1)), 1.55e-6))

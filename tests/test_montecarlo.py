@@ -21,7 +21,7 @@ from qfog import (
     spurious_coincidences_per_detector,
 )
 from qfog import montecarlo
-from qfog.montecarlo import EXPERIMENT_BLOCK
+from qfog.montecarlo import EXPERIMENT_BLOCK, TICKS
 
 
 def test_rng_stream_is_reproducible():
@@ -99,7 +99,7 @@ def test_memory_guard_refuses_before_drawing():
 @pytest.mark.parametrize("mode", list(WindowMode), ids=lambda m: m.value)
 def test_memory_guard_charges_what_a_streamed_trial_holds(monkeypatch, mode):
     # 4e8 arrivals per trial: 15 GiB as a whole-record event list, but a trial holds
-    # 2**14 x 2 chunk counts, one chunk of 2.4e4 arrivals and, when sliding, 1.6e6 survivors.
+    # 2**14 x 2 chunk counts, one chunk of 2.4e4 arrivals and 1.6e6 survivors.
     monkeypatch.setattr(montecarlo, "_uncorrelated_trial", lambda *args: 0.0)
     result = simulate_uncorrelated([1e6, 1e6], DetectionSpec(1e-9, 200.0, mode), McConfig(seed=1, trials=1))
     assert result.per_trial.tolist() == [0.0]
@@ -217,9 +217,9 @@ def test_chunk_grid_is_the_least_power_of_two(rates, t_meas, chunks):
             assert np.all((c * span <= t) & (t < (c + 1) * span))
 
 
-def _random_case(rng, dense):
+def _random_case(rng, dense, detectors=(2, 5)):
     """Rates, record length and a non-integer window count T/tau, sparse or dense per window."""
-    n, t_meas = int(rng.integers(2, 5)), float(rng.uniform(0.5, 20.0))
+    n, t_meas = int(rng.integers(*detectors)), float(rng.uniform(0.5, 20.0))
     per_detector = rng.uniform(100.0, 1000.0, n)
     occupancy = rng.uniform(0.5, 50.0) if dense else rng.uniform(0.01, 0.05)
     n_windows = float(per_detector.mean() / occupancy)
@@ -239,7 +239,7 @@ def test_chunked_binned_count_matches_whole_record(monkeypatch, dense):
         counts, ticks = _draw(seed, rates, t_meas)
         whole = [np.concatenate(per_detector) for per_detector in zip(*ticks)]
         exact = _whole_record_binned_count(whole, t_meas / tau)
-        assert montecarlo._binned_count(iter(ticks), montecarlo.TICKS // len(counts), t_meas / tau) == exact
+        assert montecarlo._binned_count(iter(ticks), t_meas / tau) == exact
         found += exact
     assert found > 0.0
 
@@ -258,6 +258,109 @@ def test_chunked_sliding_count_matches_searchsorted_count(monkeypatch, dense):
         assert montecarlo._sliding_count(iter(ticks), t_meas, tau) == exact
         found += exact
     assert found > 0.0
+
+
+# The chunked binned counter as it stood before binned mode counted on the sliding
+# walk's survivors, kept verbatim as an oracle: it windows, dedupes and counts every
+# arrival of every chunk, and carries the boundary window's keys.
+def _chunk_keys(carried: np.ndarray, xs: list[np.ndarray]) -> tuple[np.ndarray, int]:
+    """The carried keys and one chunk's keys ``x << b | d``, sorted, and b.
+
+    ``xs[d]`` holds detector d's ticks (sliding) or windows (binned); b bits label d.
+    """
+    b = max(1, (len(xs) - 1).bit_length())
+    keys = np.empty(carried.size + sum(x.size for x in xs), dtype=np.int64)
+    keys[:carried.size] = carried
+    start = carried.size
+    for d, x in enumerate(xs):
+        key = keys[start:start + x.size]
+        start += x.size
+        np.left_shift(x, b, out=key)
+        key |= d
+    keys.sort()
+    return keys, b
+
+
+def _binned_count(chunks, span: int, n_windows: float) -> float:
+    """Windows (out of n_windows) holding at least one arrival per detector.
+
+    ``chunks`` yields the tick arrays of consecutive chunks of ``span`` ticks.
+    A chunk's keys hold each arrival's window and detector; sorted with the
+    carried keys, repeats dropped, a window is full when N consecutive keys
+    share it.  Windows below the window of the next chunk's first tick are
+    final and counted, the other keys carried.  The last chunk counts all,
+    the partial last window included.
+    """
+    scale = n_windows / TICKS  # exact: TICKS is a power of two
+    total, carried = 0, np.empty(0, dtype=np.int64)
+    for c, ticks in enumerate(chunks, 1):
+        # t.astype(float) * scale = t * scale, whose mixed-type loop is slower.
+        keys, b = _chunk_keys(carried, [(t.astype(float) * scale).astype(np.int64) for t in ticks])
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        cut = np.searchsorted(keys, int(c * span * scale) << b) if c * span < TICKS else keys.size
+        windows, n = keys[:cut] >> b, len(ticks)
+        total += int(np.count_nonzero(windows[n - 1:] == windows[:max(0, cut - n + 1)]))
+        carried = keys[cut:]
+    return float(total)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+def test_trial_counts_match_the_oracles_in_both_modes(monkeypatch, dense):
+    # Each trial redrawn from its own stream: binned against the chunked oracle above,
+    # sliding against the exact count on the whole record; 2 to 6 detectors, 1 to 4096 chunks.
+    rng = np.random.default_rng(79 + dense)
+    found = {mode: 0.0 for mode in WindowMode}
+    for seed in range(20):
+        monkeypatch.setattr(montecarlo, "CHUNK_EVENTS", 2 ** int(rng.integers(1, 12)))
+        rates, t_meas, tau = _random_case(rng, dense, detectors=(2, 7))
+        for mode in WindowMode:
+            result = simulate_uncorrelated(rates, DetectionSpec(tau, t_meas, mode), McConfig(seed=seed, trials=2))
+            for i, count in enumerate(result.per_trial):
+                rng_i = rng_stream(seed, i)
+                ticks = list(montecarlo._chunk_ticks(rng_i, montecarlo._chunk_counts(rng_i, rates, t_meas)))
+                if mode is WindowMode.BINNED:
+                    expected = _binned_count(iter(ticks), TICKS // len(ticks), t_meas / tau)
+                else:
+                    whole = [np.concatenate(per_detector) * 2.0**-53 for per_detector in zip(*ticks)]
+                    expected = montecarlo._searchsorted_count(whole, t_meas, tau)
+                assert count == expected, (seed, mode, i)
+                found[mode] += expected
+    assert min(found.values()) > 0.0
+
+
+def _window_edges(w, n_windows):
+    """The least and the greatest tick whose float window ``int(t * n_windows / 2**53)`` is w."""
+    def window(t):
+        return int(float(t) * (n_windows / 2.0**53))
+    lo = max(0, math.floor(w * 2.0**53 / n_windows) - 4)
+    hi = min(TICKS - 1, math.floor((w + 1) * 2.0**53 / n_windows) + 4)
+    assert (lo == 0 or window(lo) < w) and (hi == TICKS - 1 or window(hi) > w)
+    while window(lo) < w:
+        lo += 1
+    while window(hi) > w:
+        hi -= 1
+    return lo, hi
+
+
+@pytest.mark.parametrize("n_windows", [2.0**46 - 0.37, 2.0**46 * (1 - 2**-30), 2.0 - 2**-40, 2.0 + 2**-40, 2.5])
+def test_binned_walk_keeps_pairs_at_the_rounding_edge(n_windows):
+    # Two arrivals at the two extreme ticks of one window, near u = 0, 1/2 and 1, are
+    # the farthest pair the walk must keep; one tick further out, they share no window.
+    # Records of 1, 2 and 4 chunks put the window near 1/2 across a chunk edge.
+    for u in (0.0, 0.5, 1.0):
+        w = int(min(u * 2.0**53, TICKS - 1) * (n_windows / 2.0**53))
+        lo, hi = _window_edges(w, n_windows)
+        for first, second, expected in ((lo, hi, 1), (hi, lo, 1), (lo - 1, hi, 0), (lo, hi + 1, 0)):
+            if not (0 <= first < TICKS and 0 <= second < TICKS):
+                continue
+            ticks = [np.array([first], dtype=np.int64), np.array([second], dtype=np.int64)]
+            for chunks in (1, 2, 4):
+                span = TICKS // chunks
+                per_chunk = [[t[(c * span <= t) & (t < (c + 1) * span)] for t in ticks] for c in range(chunks)]
+                assert _binned_count(iter(per_chunk), span, n_windows) == expected
+                assert montecarlo._binned_count(iter(per_chunk), n_windows) == expected, (u, first, second, chunks)
 
 
 _T = 2**53  # ticks per record
@@ -286,13 +389,13 @@ def test_binned_count_at_chunk_edges(fractions, n_windows, chunks, expected):
     ticks = [(np.array(u, dtype=float) * 2.0**53).astype(np.int64) for u in fractions]
     per_chunk = [[t[(c * span <= t) & (t < (c + 1) * span)] for t in ticks] for c in range(chunks)]
     assert _whole_record_binned_count(ticks, n_windows) == expected
-    assert montecarlo._binned_count(iter(per_chunk), span, n_windows) == expected
+    assert montecarlo._binned_count(iter(per_chunk), n_windows) == expected
 
 
 @pytest.mark.parametrize("mode", list(WindowMode), ids=lambda m: m.value)
 def test_trial_holds_one_chunk(mode):
     # The 180 s benchmark record, 2 x 3.4e6 arrivals: 111 to 167 MB traced as one
-    # event list, a chunk of 2**15 arrivals (and a few sliding survivors) when streamed.
+    # event list, a chunk of 2**15 arrivals (and a few survivors) when streamed.
     det = DetectionSpec(156e-12, 180.0, mode)
     tracemalloc.start()
     try:
@@ -303,18 +406,22 @@ def test_trial_holds_one_chunk(mode):
     assert peak < 16 * 2**20
 
 
-def test_binned_refuses_more_than_2_to_the_17_detectors():
-    # A binned key holds a window below 2**46 and 17 label bits; refused before any draw.
-    with pytest.raises(ValueError, match="singles_rate_per_detector.*131072"):
-        simulate_uncorrelated([0.0] * (2**17 + 1), DetectionSpec(1e-6, 1.0), McConfig(seed=1, trials=1))
-
-
-def test_sliding_refuses_more_than_1024_detectors():
-    rates = [1.0] * 1025
+@pytest.mark.parametrize("mode", list(WindowMode), ids=lambda m: m.value)
+def test_refuses_more_than_1024_detectors(monkeypatch, mode):
+    # A key holds a 53-bit tick and a 10-bit detector label; refused before any draw.
+    monkeypatch.setattr(montecarlo, "rng_stream", lambda seed, i: pytest.fail("drew before the guard"))
     with pytest.raises(ValueError, match="singles_rate_per_detector.*1024"):
-        simulate_uncorrelated(rates, DetectionSpec(1e-6, 1.0, WindowMode.SLIDING), McConfig(seed=1, trials=1))
-    binned = simulate_uncorrelated(rates, DetectionSpec(1e-6, 1.0), McConfig(seed=1, trials=1))
-    assert binned.per_trial.size == 1
+        simulate_uncorrelated([1.0] * 1025, DetectionSpec(1e-6, 1.0, mode), McConfig(seed=1, trials=1))
+
+
+@pytest.mark.parametrize("mode", list(WindowMode), ids=lambda m: m.value)
+def test_float32_spec_gives_the_float64_counts(mode):
+    # A float32 jitter or record length once drew and windowed in single precision.
+    single = DetectionSpec(np.float32(3e-6), np.float32(2.0), mode)
+    double = DetectionSpec(float(np.float32(3e-6)), float(np.float32(2.0)), mode)
+    mc = McConfig(seed=4, trials=3)
+    counts = [simulate_uncorrelated([30e3] * 3, det, mc).per_trial for det in (single, double)]
+    assert np.array_equal(*counts)
 
 
 def test_sliding_exceeds_binned_on_identical_streams():
