@@ -56,9 +56,11 @@ SWEEP_COLUMNS = ("phase_total_rad", "abs_dphi_p_rad", "defined_flag",
                  "shot_noise_rad", "shot_noise_tenth_rad", "dphi_p0_rad")
 
 # Peak memory per sweep row: the grid, the profile and two copies of the CSV
-# text (the rendered bytes and the str, 77 bytes per row each) measured 178
-# bytes per row at 1e5 rows and 179 at 1e6, rounded up for rows of up to 83
-# bytes (a negative phase and three-digit exponents).
+# text (the rendered bytes and the str, 77 bytes per row each).  Traced, 180
+# bytes per row at 1e5 rows; peak RSS growth 179 at 1e6, and 185 where the
+# defined flag flips every row or two (74-byte rows, most rendered through the
+# row template).  Rounded up for rows of up to 83 bytes (a negative phase and
+# three-digit exponents).
 SWEEP_BYTES_PER_ROW = 190
 
 # Fewest rows of one layout rendered as a matrix.  A matrix block costs about
@@ -236,8 +238,9 @@ def _sweep_text(header: str, grid, signed, defined, constants: str) -> str:
     layout (sign of phi, defined flag); each run of ``SWEEP_MIN_RUN`` rows or
     more is a matrix in one uint8 buffer of the whole text, its rows copies
     of ``row``'s own text with the digits from a "0000" ... "9999" table, and
-    shorter runs go through ``row`` too (see ``_sweep_blocks``).  The buffer
-    is decoded once.  The bytes are those of ``row`` at every point.
+    shorter runs go through ``row`` too (see ``_sweep_blocks``), written into
+    the buffer 1024 rows at a time.  The buffer is decoded once.  The bytes
+    are those of ``row`` at every point.
     """
     import numpy as np
 
@@ -276,32 +279,29 @@ def _sweep_text(header: str, grid, signed, defined, constants: str) -> str:
     negative = grid < 0
     decided = phi_decided & (value_decided | ~defined)
     layout = negative * np.int8(4) + defined * np.int8(2) + decided
-    # (first row or None for verbatim text, copies, line): a matrix block is
-    # copies of its layout's line, its digits filled in below.
-    blocks = [(None, 1, header.encode())]
+    # Rows are written in order into one buffer sized for the longest row: a
+    # negative phi and two three-digit exponents.  Its unwritten tail is never touched.
+    out = np.empty(len(header) + len(grid) * (36 + len(constants)), np.uint8)
+    out[:len(header)] = np.frombuffer(header.encode(), np.uint8)
+    end = len(header)
     for a, b, matrix in _sweep_blocks(layout, decided):
-        if matrix:
-            blocks.append((a, b - a, row(-1.0 if negative[a] else 1.0, 1.0, defined[a]).encode()))
+        if matrix:  # copies of its layout's line, its digits filled in
+            line = row(-1.0 if negative[a] else 1.0, 1.0, defined[a]).encode()
+            run = out[end:end + (b - a) * len(line)].reshape(b - a, len(line))
+            end += run.size
+            run[:] = np.frombuffer(line, np.uint8)
+            sign = int(negative[a])
+            run[:, sign:sign + 14] = phi_text[a:b]
+            if defined[a]:
+                run[:, sign + 15:sign + 29] = value_text[a:b]
         else:  # 1024 rows at a time: ``join`` lists its parts first
             for c in range(a, b, 1024):
                 s = slice(c, min(b, c + 1024))
-                rows = map(row, grid[s].tolist(), signed[s].tolist(), defined[s].tolist())
-                blocks.append((None, 1, "".join(rows).encode()))
-    out = np.empty(sum(copies * len(line) for _, copies, line in blocks), np.uint8)
-    end = 0
-    blocks.reverse()  # popped in order, so each template block's text is freed once copied
-    while blocks:
-        a, copies, line = blocks.pop()
-        start, end = end, end + copies * len(line)
-        run = out[start:end].reshape(copies, len(line))
-        run[:] = np.frombuffer(line, np.uint8)
-        if a is not None:
-            sign = int(negative[a])
-            run[:, sign:sign + 14] = phi_text[a:a + copies]
-            if defined[a]:
-                run[:, sign + 15:sign + 29] = value_text[a:a + copies]
+                text = "".join(map(row, grid[s].tolist(), signed[s].tolist(), defined[s].tolist())).encode()
+                out[end:end + len(text)] = np.frombuffer(text, np.uint8)
+                end += len(text)
     del phi_text, value_text
-    return str(out, "ascii")
+    return str(out[:end], "ascii")
 
 
 def _sweep_blocks(layout, decided) -> list[tuple[int, int, bool]]:

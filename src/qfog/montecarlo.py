@@ -4,8 +4,11 @@ Simulates Poisson photon arrival streams at each detector and counts
 N-fold coincidences the way real counting electronics would, providing an
 independent empirical check of the analytic accidental-count formula and
 of the phase bias it induces.  Both window modes count a trial one chunk
-of its record at a time, as sorted keys labelled by detector, on one walk
-that keeps only the arrivals with a close neighbour.
+of its record at a time, on one walk in two stages that keeps only the
+arrivals with a close neighbour: a screen sorts each chunk's coarse cells
+as uint32 and skips a chunk where no two arrivals lie in the same or
+adjacent cells, and the exact walk sorts keys labelled by detector only
+for the arrivals the screen leaves.
 
 Determinism contract: every draw depends only on ``(seed, trial_index)``,
 so results are bit-identical for a given seed no matter how trials are
@@ -35,13 +38,15 @@ TICKS = 2**53
 # Largest window count t_meas/jitter the tick lattice resolves; see simulate_uncorrelated.
 MAX_WINDOWS = 2**46
 
-# Most expected arrivals per chunk of a trial's record; see _chunk_grid.  Of
+# Most expected arrivals per chunk of a trial's record; see _chunk_grid.  It fixes
+# the draw, which is made chunk by chunk, so changing it moves every count.  Of
 # 2**13 ... 2**18, 2**15 counted fastest in both modes: chunks this small sort in cache.
 CHUNK_EVENTS = 2**15
 
 # Peak memory per arrival a trial holds (a chunk's and the survivors), rounded up
-# from 7e5- and 7e6-event trials: 30-31 bytes per chunk arrival (traced peak), 39 per
-# binned and 63-67 per sliding survivor (peak RSS growth of a trial where all survive).
+# from 7e5- and 7e6-event trials: 24-25 bytes per chunk arrival (traced peak) where
+# the screen skips most chunks and 39 where each chunk is walked whole, 36-40 per
+# binned and 64 per sliding survivor (peak RSS growth of a trial where all survive).
 BYTES_PER_EVENT = 80
 
 # Experiment trials per generator: building one costs far more than a trial's draws.
@@ -159,7 +164,16 @@ def _chunk_ticks(rng: np.random.Generator, counts: np.ndarray):
         yield [rng.integers(c * span, (c + 1) * span, n, dtype=np.int64) for n in row]
 
 
-def _survivor_keys(chunks, width: float) -> tuple[np.ndarray, int, int]:
+def _cells(ticks, s: int, out: np.ndarray) -> np.ndarray:
+    """Write each arrival's cell ``t >> s``, truncated to 32 bits, into ``out``, detector by detector."""
+    start = 0
+    for t in ticks:
+        np.right_shift(t, s, out=out[start:start + t.size], casting="unsafe")
+        start += t.size
+    return out
+
+
+def _survivor_keys(chunks, width: float, span: int = TICKS) -> tuple[np.ndarray, int, int]:
     """Sorted keys ``t << b | d`` of the arrivals with a merged neighbour within reach; b; N.
 
     ``chunks`` yields each chunk's ticks per detector d, in time order; b
@@ -174,19 +188,65 @@ def _survivor_keys(chunks, width: float) -> tuple[np.ndarray, int, int]:
     at most 2**53 / n_windows + 2, and w rounds by under one tick.  One more
     tick covers the detector bits of a key difference; the cap keeps reach
     inside int64.
+
+    Two stages.  A screen first sorts each chunk's cells ``t >> s``, s =
+    max((steps - 1).bit_length(), log2(span) - 32), as uint32: a cell of
+    2**s ticks covers the reach, so two keys within reach differ by at most
+    ``steps`` ticks and lie in cells at most 1 apart.  ``span`` is the
+    length of the aligned power-of-two spans the chunks cover, at most 2**32
+    cells each, so the truncated cells lose only the bits that a chunk's
+    arrivals share; at the default, one span for the record, s >= 21 and
+    nothing is truncated, so the chunks may be cut anywhere.  A chunk with
+    no two cells within 1, its bottom cell more than 1 above the previous
+    chunk's top cell and no key held from that chunk has no survivor and is
+    skipped.  Otherwise the exact walk sorts the keys of the candidates: the
+    arrivals in cells with a neighbour cell within 1, and those in the
+    bottom and top cells, so the chunk's first and last keys stay exact.
+    Picking them costs a pass per candidate, so beyond 16 the whole chunk is
+    keyed.  Dropping the others drops no pair within reach: each of them is
+    more than ``steps`` ticks from every other arrival, and two merged
+    neighbours within reach are both candidates, so they stay neighbours.
+    Removing arrivals only widens the gaps between those that remain, so no
+    new pair comes within reach.  A skipped chunk's last key is found only
+    where the next chunk may join it: its top cell within 1 of the next
+    span's first cell, or any chunk at the default span.
     """
     steps = math.ceil(min(width, 1.0) * TICKS) + 7
-    parts, last, held = [np.empty(0, dtype=np.int64)], None, False
+    s, edge = max((steps - 1).bit_length(), span.bit_length() - 33), span.bit_length() - 1
+    parts, last, top, held = [np.empty(0, dtype=np.int64)], None, -2, False
+    buffer = np.empty(0, dtype=np.uint32)
     for ticks in chunks:  # at least one chunk
         n, b = len(ticks), max(1, (len(ticks) - 1).bit_length())
+        size = sum(t.size for t in ticks)
+        if not size:
+            continue
+        if buffer.size < size:
+            buffer = np.empty(size, dtype=np.uint32)
+        cells = _cells(ticks, s, buffer[:size])
+        cells.sort()
+        first = next(int(t[0]) for t in ticks if t.size)
+        high = first >> s >> 32 << 32  # the cell bits all of the chunk's arrivals share
+        below, top = top, high + int(cells[-1])
+        near = np.diff(cells) <= 1
+        if not (held or high + int(cells[0]) <= below + 1 or near.any()):
+            if span == TICKS or top + 1 >= ((first >> edge) + 1 << edge) >> s:
+                last = np.array([max(int(t.max()) << b | d for d, t in enumerate(ticks) if t.size)])
+            else:
+                last = None
+            continue
+        pick = np.zeros(size, dtype=bool)
+        pick[1:], pick[0], pick[-1] = near, True, True
+        pick[:-1] |= near
+        if np.count_nonzero(pick) <= 16:  # a pass per candidate; keying the whole chunk costs a sort
+            wanted = cells[pick]
+            mask = np.isin(_cells(ticks, s, cells), wanted)
+            ticks = [t[m] for t, m in zip(ticks, np.split(mask, np.cumsum([t.size for t in ticks[:-1]])))]
         keys, start = np.empty(sum(t.size for t in ticks), dtype=np.int64), 0
         for d, t in enumerate(ticks):
             key, start = keys[start:start + t.size], start + t.size
             np.left_shift(t, b, out=key)
             if d:
                 key |= d
-        if not keys.size:
-            continue
         keys.sort()
         reach = min(steps << b, 2**63 - 1)
         joined = last is not None and keys[0] - last[0] <= reach
@@ -203,7 +263,7 @@ def _survivor_keys(chunks, width: float) -> tuple[np.ndarray, int, int]:
     return np.concatenate(parts + [last] * held), b, n
 
 
-def _binned_count(chunks, n_windows: float) -> float:
+def _binned_count(chunks, n_windows: float, span: int = TICKS) -> float:
     """Windows (out of n_windows) holding at least one arrival per detector.
 
     An arrival in a shared window has a merged neighbour there, so only the
@@ -211,7 +271,7 @@ def _binned_count(chunks, n_windows: float) -> float:
     w = int(t * n_windows / 2**53), sorted and deduplicated, make a window
     full when N consecutive keys share it, the partial last one included.
     """
-    keys, b, n = _survivor_keys(chunks, 1.0 / n_windows)
+    keys, b, n = _survivor_keys(chunks, 1.0 / n_windows, span)
     # t.astype(float) * scale = t * scale, whose mixed-type loop is slower; scale is exact.
     windows = ((keys >> b).astype(float) * (n_windows / TICKS)).astype(np.int64)
     keys = np.sort(windows << b | keys & ((1 << b) - 1))
@@ -221,7 +281,7 @@ def _binned_count(chunks, n_windows: float) -> float:
     return float(np.count_nonzero(windows[n - 1:] == windows[:max(0, windows.size - n + 1)]))
 
 
-def _sliding_count(chunks, t_meas: float, tau: float) -> float:
+def _sliding_count(chunks, t_meas: float, tau: float, span: int = TICKS) -> float:
     """N-fold groups (one arrival per detector) with spread <= tau.
 
     Inside a group's span every gap between consecutive merged arrivals is
@@ -229,7 +289,7 @@ def _sliding_count(chunks, t_meas: float, tau: float) -> float:
     group.  Decoded bit for bit, they give ``_searchsorted_count`` its count
     on every arrival; a detector left without survivors means no group.
     """
-    keys, b, n = _survivor_keys(chunks, tau / t_meas)
+    keys, b, n = _survivor_keys(chunks, tau / t_meas, span)
     labels, draws = keys & ((1 << b) - 1), (keys >> b) / TICKS
     survivors = [draws[labels == d] for d in range(n)]
     if any(s.size == 0 for s in survivors):
@@ -259,9 +319,10 @@ def _searchsorted_count(fractions: list[np.ndarray], t_meas: float, tau: float) 
 def _uncorrelated_trial(seed, rates, t_meas, tau, binned, index) -> float:
     rng = rng_stream(seed, index)
     counts = _chunk_counts(rng, rates, t_meas)
+    chunks, span = _chunk_ticks(rng, counts), TICKS // len(counts)
     if binned:
-        return _binned_count(_chunk_ticks(rng, counts), t_meas / tau)
-    return _sliding_count(_chunk_ticks(rng, counts), t_meas, tau)
+        return _binned_count(chunks, t_meas / tau, span)
+    return _sliding_count(chunks, t_meas, tau, span)
 
 
 def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McConfig,
@@ -296,7 +357,12 @@ def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McC
     Both counts share one walk: a chunk's arrivals become int64 keys
     ``t << b | d`` (t the tick, d the detector), sorted, and only the
     arrivals with a merged neighbour within one jitter survive; every member
-    of a group or of a shared window has one.  Binned counts the windows
+    of a group or of a shared window has one.  A screen runs first: it sorts
+    the chunk's cells, each at least one jitter wide, as uint32 and skips a
+    chunk where no two arrivals lie in the same or adjacent cells, nor next
+    to the previous chunk's last one; in the other chunks only the arrivals
+    in such cells and in the bottom and top cells are keyed, so the
+    survivors are the same (see ``_survivor_keys``).  Binned counts the windows
     that N survivors share, sliding counts the survivors exactly by
     ``searchsorted``.  The 10-bit label beside a 53-bit tick caps either
     mode at 1024 detectors.

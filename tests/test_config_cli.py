@@ -642,6 +642,21 @@ def test_sweep_peak_memory_stays_within_its_guard():
     assert peak <= SWEEP_BYTES_PER_ROW * points
 
 
+def test_aliased_sweep_peak_memory_stays_within_its_guard(bench_dict):
+    # A grid far coarser than pi/N renders most rows through the row template; their
+    # text goes straight into the output buffer, so the peak is the plain grid's.
+    bench_dict["source"]["initial_noon_fraction"] = 0.01
+    cfg, points = config_from_dict(bench_dict), 10**5
+    sweep_rows(cfg, -1e30, 1e30, 2)
+    tracemalloc.start()
+    try:
+        sweep_rows(cfg, -1e30, 1e30, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= SWEEP_BYTES_PER_ROW * points
+
+
 @pytest.mark.parametrize("config", [BENCH_CONFIG, PROJECTED_CONFIG], ids=["silvestri2024", "projected2025"])
 def test_commands_leave_stderr_empty_with_warnings_as_errors(config, tmp_path):
     # Pytest's warning filter does not reach a subprocess, so each command runs under -W error.

@@ -1,7 +1,8 @@
 """Smoke test: the quick demos run to completion and write nothing to stderr.
 
-``04_monte_carlo_check.py`` is left out: it takes about 7 s on a 2-vCPU
-host, most of it in binned event counting, and CI runs it as a step of its own.
+``04_monte_carlo_check.py`` is left out: it takes about 3 s (2.6-2.9 s) on a
+2-vCPU host, most of it in drawing and counting event streams, and CI runs it
+as a step of its own.
 """
 
 import os

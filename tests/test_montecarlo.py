@@ -392,6 +392,151 @@ def test_binned_count_at_chunk_edges(fractions, n_windows, chunks, expected):
     assert montecarlo._binned_count(iter(per_chunk), n_windows) == expected
 
 
+# The survivor walk as it stood before the coarse-cell screen, kept verbatim as an
+# oracle: it builds and sorts the keys of every arrival of every chunk.
+def _survivor_keys(chunks, width: float) -> tuple[np.ndarray, int, int]:
+    """Sorted keys ``t << b | d`` of the arrivals with a merged neighbour within reach; b; N.
+
+    ``chunks`` yields each chunk's ticks per detector d, in time order; b
+    bits label d.  Each chunk's keys follow the previous chunk's last key.
+    Reach is ``steps << b``, steps = ceil(min(w, 1) * 2**53) + 7 for a
+    window w = ``width`` of the record.  Sliding, w = tau/T: two arrivals
+    that both pass one anchor's float test t_a <= t <= t_a + tau differ by
+    at most ceil(w * 2**53) + 6 ticks, as u*T, t_a + tau and w each round by
+    at most 2**-53 relative, u < 1 (beyond w = 1 every arrival is within
+    reach).  Binned, w = 1/n_windows: t * (n_windows / 2**53) rounds by at
+    most 2**-53 * n_windows, one tick, so two ticks in one window differ by
+    at most 2**53 / n_windows + 2, and w rounds by under one tick.  One more
+    tick covers the detector bits of a key difference; the cap keeps reach
+    inside int64.
+    """
+    steps = math.ceil(min(width, 1.0) * TICKS) + 7
+    parts, last, held = [np.empty(0, dtype=np.int64)], None, False
+    for ticks in chunks:  # at least one chunk
+        n, b = len(ticks), max(1, (len(ticks) - 1).bit_length())
+        keys, start = np.empty(sum(t.size for t in ticks), dtype=np.int64), 0
+        for d, t in enumerate(ticks):
+            key, start = keys[start:start + t.size], start + t.size
+            np.left_shift(t, b, out=key)
+            if d:
+                key |= d
+        if not keys.size:
+            continue
+        keys.sort()
+        reach = min(steps << b, 2**63 - 1)
+        joined = last is not None and keys[0] - last[0] <= reach
+        if held or joined:
+            parts.append(last)
+        close, held = np.diff(keys) <= reach, False
+        if joined or close.any():  # rarely: most chunks hold no pair within reach
+            keep = np.zeros(keys.size, dtype=bool)
+            keep[1:], keep[0] = close, joined
+            keep[:-1] |= close
+            parts.append(keys[:-1][keep[:-1]])
+            held = bool(keep[-1])
+        last = keys[-1:].copy()
+    return np.concatenate(parts + [last] * held), b, n
+
+
+def _screened(chunks, width, span=TICKS):
+    """The screened walk and the oracle on the same chunks: equal keys, b and N, returned."""
+    chunks = list(chunks)
+    keys, b, n = montecarlo._survivor_keys(iter(chunks), width, span)
+    expected = _survivor_keys(iter(chunks), width)
+    assert keys.dtype == np.int64 and np.array_equal(keys, expected[0]) and (b, n) == expected[1:]
+    return keys
+
+
+def _cut(ticks, cuts):
+    """Whole-record ticks per detector, cut into chunks at the sorted tick values ``cuts``."""
+    edges = [0, *cuts, TICKS]
+    return [[t[(lo <= t) & (t < hi)] for t in ticks] for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def test_screened_walk_matches_the_unscreened_walk(monkeypatch):
+    # 2 to 6 detectors (one silent in some), 2**1 to 2**11 expected arrivals per chunk, so
+    # many chunks are empty, and windows from 1e-16 of the record to twice it: sparse,
+    # dense and every arrival within reach.  Each draw is walked at its aligned span, at
+    # the default span and, at the default span, cut at random ticks.
+    rng = np.random.default_rng(83)
+    survivors = 0
+    for case in range(160):
+        monkeypatch.setattr(montecarlo, "CHUNK_EVENTS", 2 ** int(rng.integers(1, 12)))
+        n = int(rng.integers(2, 7))
+        rates = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(1.0, 3.3) * (rng.random(n) > 0.1)
+        width = 2.0 * 10.0 ** rng.uniform(-16.0, 0.0)
+        counts, ticks = _draw(case, tuple(rates), 1.0)
+        survivors += _screened(ticks, width, TICKS // len(counts)).size
+        _screened(ticks, width)
+        whole = [np.concatenate(per_detector) for per_detector in zip(*ticks)]
+        cuts = np.sort(rng.integers(0, TICKS, int(rng.integers(1, 40)), dtype=np.int64))
+        _screened(_cut(whole, cuts.tolist()), width)
+    assert survivors > 0
+
+
+def _steps_cell(width):
+    """The walk's reach in ticks and its cell shift s at the default span."""
+    steps = math.ceil(min(width, 1.0) * TICKS) + 7
+    return steps, max((steps - 1).bit_length(), 21)
+
+
+_ON_CELL = (2.0**30 - 7) / 2.0**53  # steps = 2**30, one cell of the default span
+
+
+@pytest.mark.parametrize("gap, detectors, survive", [
+    (0, (0, 1), True),
+    (2**30, (0, 0), True),        # steps ticks apart, the later key's label not above
+    (2**30, (1, 0), True),
+    (2**30, (0, 1), False),       # steps ticks and one label: one beyond reach
+    (2**30 + 1, (0, 0), False),
+    (2**31 - 1, (0, 1), False),   # adjacent cells, far ends
+], ids=["tie", "steps", "steps-label-down", "steps-label-up", "steps-plus-one", "adjacent-cells"])
+def test_screen_keeps_pairs_at_the_cell_edge(gap, detectors, survive):
+    # Pairs across a cell edge, one of them on the edge's last or first tick: the
+    # screen passes adjacent cells to the exact walk, which keeps a pair within reach.
+    steps, s = _steps_cell(_ON_CELL)
+    assert (steps, s) == (2**30, 30)
+    for first in (5 << s, (5 << s) - 1, (6 << s) - 1 - gap // 2, (7 << s) - 1 - gap):
+        ticks = [np.empty(0, dtype=np.int64) for _ in range(2)]
+        for d, t in zip(detectors, (first, first + gap)):
+            ticks[d] = np.append(ticks[d], np.int64(t))
+        keys = _screened([ticks], _ON_CELL)
+        assert keys.size == 2 * survive, (first, gap, detectors)
+
+
+@pytest.mark.parametrize("gap, survive", [(2**30, True), (2**30 + 1, False)])
+@pytest.mark.parametrize("chunks", [2, 4, 2**20])
+def test_screen_keeps_a_pair_across_a_screened_chunk_edge(chunks, gap, survive):
+    # The first chunk holds two arrivals six cells apart, the later one just below the
+    # edge, so the screen skips it; its last key is still found, because its top cell
+    # lies within one of the next span.  The later arrival's label is not above the
+    # earlier one's, so a gap of steps ticks is within reach.
+    span = TICKS // chunks
+    first = span - 1 - gap // 3
+    ticks = [np.array([first + gap, first + gap + 3 * 2**31], dtype=np.int64),
+             np.array([first - 3 * 2**31, first], dtype=np.int64)]
+    # The chunks after the second are empty: cut there only once.
+    keys = _screened(_cut(ticks, [c * span for c in range(1, min(chunks, 3))]), _ON_CELL, span)
+    assert sorted((keys >> 1).tolist()) == ([first, first + gap] if survive else [])
+
+
+def test_screen_counts_1024_detectors():
+    # A 10-bit label beside each tick: planted pairs between the first and the last
+    # detectors, and among random ones, across a few aligned chunks.
+    rng = np.random.default_rng(89)
+    ticks = [rng.integers(0, TICKS, 3, dtype=np.int64) for _ in range(1024)]
+    for d, e in [(0, 1023), (1023, 0), (17, 900), (512, 513)]:
+        t = int(rng.integers(0, TICKS - 2**31))
+        ticks[d] = np.append(ticks[d], np.int64(t))
+        ticks[e] = np.append(ticks[e], np.int64(t + int(rng.integers(0, 2**30))))
+    for chunks in (1, 4, 64):
+        span = TICKS // chunks
+        per_chunk = _cut(ticks, [c * span for c in range(1, chunks)])
+        keys = _screened(per_chunk, _ON_CELL, span)
+        assert keys.size >= 8 and set((keys & 1023).tolist()) >= {0, 1023, 17, 900, 512, 513}
+        assert _screened(per_chunk, _ON_CELL).size == keys.size
+
+
 @pytest.mark.parametrize("mode", list(WindowMode), ids=lambda m: m.value)
 def test_trial_holds_one_chunk(mode):
     # The 180 s benchmark record, 2 x 3.4e6 arrivals: 111 to 167 MB traced as one
