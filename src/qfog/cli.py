@@ -32,6 +32,7 @@ from .sagnac import omega_min, sagnac_phase, shot_noise
 from .spurious import (
     PhaseShiftSolution,
     SpuriousCount,
+    _window_factor,
     bias_zone_scan,
     max_singles_flux,
     phase_shift_cusp,
@@ -141,15 +142,17 @@ def assemble_budget(cfg: InstrumentConfig) -> NoiseBudget:
     noon_pairs = src.pair_rate_hz * t_meas
     singles_rate = singles_rate_from_ratio(src.pair_rate_hz, fraction)
     singles_count = singles_rate * t_meas
+    factor = _window_factor(order, det)  # every count below is in the spec's window mode
     # The config is validated, so only a count that overflows fails here.
     try:
-        spurious = spurious_coincidences(singles_count, order, det, src.dark_rate_hz)
+        spurious = SpuriousCount.from_count(
+            factor * spurious_coincidences(singles_count, order, det, src.dark_rate_hz).delta_pcc, t_meas)
     except ValueError:
         raise ValueError(f"accidental count: overflows at order {order}, singles rate {_e(singles_rate)} Hz, "
                          f"dark rate {_e(src.dark_rate_hz)} Hz, jitter {_e(det.jitter_s)} s, "
                          f"measurement time {_e(t_meas)} s") from None
-    dark_free = spurious_coincidences(singles_count, order, det, 0.0)
-    dark_only = spurious_coincidences(0.0, order, det, src.dark_rate_hz)
+    dark_free = factor * spurious_coincidences(singles_count, order, det, 0.0).delta_pcc
+    dark_only = factor * spurious_coincidences(0.0, order, det, src.dark_rate_hz).delta_pcc
 
     tau = coherence_time(cfg.spectrum)
     dt_chr = chromatic_delay(cfg.dispersion, geom.fiber_length_m, cfg.spectrum)
@@ -191,8 +194,8 @@ def assemble_budget(cfg: InstrumentConfig) -> NoiseBudget:
         ("entangled pairs over t_meas", noon_pairs),
         ("accidental coincidence rate [Hz]", spurious.rate_hz),
         ("accidental count over t_meas", spurious.delta_pcc),
-        ("dark-count contribution to count", spurious.delta_pcc - dark_free.delta_pcc),
-        ("dark-only accidental count", dark_only.delta_pcc),
+        ("dark-count contribution to count", spurious.delta_pcc - dark_free),
+        ("dark-only accidental count", dark_only),
         ("shot-noise phase [rad]", shot),
         ("rotation phase [rad]", phi_sl),
         ("total phase rotation+bias [rad]", point.total_rad),

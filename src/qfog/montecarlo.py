@@ -3,12 +3,8 @@
 Simulates Poisson photon arrival streams at each detector and counts
 N-fold coincidences the way real counting electronics would, providing an
 independent empirical check of the analytic accidental-count formula and
-of the phase bias it induces.  Both window modes count a trial one chunk
-of its record at a time, on one walk in two stages that keeps only the
-arrivals with a close neighbour: a screen sorts each chunk's coarse cells
-as uint32 and skips a chunk where no two arrivals lie in the same or
-adjacent cells, and the exact walk sorts keys labelled by detector only
-for the arrivals the screen leaves.
+of the phase bias it induces.  Both window modes count on the arrivals
+with a close neighbour, found chunk by chunk by ``_survivor_keys``.
 
 Determinism contract: every draw depends only on ``(seed, trial_index)``,
 so results are bit-identical for a given seed no matter how trials are
@@ -30,7 +26,7 @@ import numpy as np
 
 from .model import DetectionSpec, PhasePoint, WindowMode, _require, _require_finite, _require_memory
 from .sagnac import coincidence_probability
-from .spurious import SpuriousCount, _minimal_branch, spurious_coincidences_per_detector
+from .spurious import SpuriousCount, _minimal_branch, _window_factor, spurious_coincidences_per_detector
 
 # Ticks per record: arrival times are integers t < TICKS, the fraction t / TICKS.
 TICKS = 2**53
@@ -43,10 +39,11 @@ MAX_WINDOWS = 2**46
 # 2**13 ... 2**18, 2**15 counted fastest in both modes: chunks this small sort in cache.
 CHUNK_EVENTS = 2**15
 
-# Peak memory per arrival a trial holds (a chunk's and the survivors), rounded up
-# from 7e5- and 7e6-event trials: 24-25 bytes per chunk arrival (traced peak) where
-# the screen skips most chunks and 39 where each chunk is walked whole, 36-40 per
-# binned and 64 per sliding survivor (peak RSS growth of a trial where all survive).
+# Peak memory per arrival charged, a chunk's and the expected survivors, rounded up
+# from 1.5e5- to 7e6-event trials: 29-31 bytes per chunk arrival (traced peak) where
+# the screen skips most chunks, as a trial then holds up to two chunks, and 40 where
+# each chunk is walked whole; 36-40 per binned and 64 per sliding survivor (peak RSS
+# growth of a trial where all survive).
 BYTES_PER_EVENT = 80
 
 # Experiment trials per generator: building one costs far more than a trial's draws.
@@ -55,6 +52,14 @@ EXPERIMENT_BLOCK = 1024
 # Peak memory per experiment trial: the measured growth of peak RSS is
 # 59-63 bytes per trial at 1e6-4e6 trials, rounded up.
 BYTES_PER_TRIAL = 72
+
+
+def _integer(value, field: str, least: int | None = None) -> int:
+    """``value`` as a Python int: a Python or NumPy integer, not a bool, and at least ``least``."""
+    _require(isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+             and (least is None or value >= least),
+             field, f"must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -67,10 +72,8 @@ class McConfig:
     window_mode: WindowMode | None = None
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.seed, int) and not isinstance(self.seed, bool),
-                 "seed", f"must be an integer, got {self.seed!r}")
-        _require(isinstance(self.trials, int) and self.trials >= 1,
-                 "trials", f"must be a positive integer, got {self.trials!r}")
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "trials", _integer(self.trials, "trials", 1))
         _require(self.window_mode is None or isinstance(self.window_mode, WindowMode),
                  "window_mode", f"must be a WindowMode or None, got {self.window_mode!r}")
 
@@ -173,50 +176,56 @@ def _cells(ticks, s: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _has_neighbour(keys: np.ndarray, reach: int) -> np.ndarray:
+    """Mask of the sorted ``keys`` that have a neighbour within ``reach``."""
+    close = np.diff(keys) <= reach
+    keep = np.zeros(keys.size, dtype=bool)
+    keep[1:] = close
+    keep[:-1] |= close
+    return keep
+
+
 def _survivor_keys(chunks, width: float, span: int = TICKS) -> tuple[np.ndarray, int, int]:
     """Sorted keys ``t << b | d`` of the arrivals with a merged neighbour within reach; b; N.
 
     ``chunks`` yields each chunk's ticks per detector d, in time order; b
-    bits label d.  Each chunk's keys follow the previous chunk's last key.
-    Reach is ``steps << b``, steps = ceil(min(w, 1) * 2**53) + 7 for a
-    window w = ``width`` of the record.  Sliding, w = tau/T: two arrivals
-    that both pass one anchor's float test t_a <= t <= t_a + tau differ by
-    at most ceil(w * 2**53) + 6 ticks, as u*T, t_a + tau and w each round by
-    at most 2**-53 relative, u < 1 (beyond w = 1 every arrival is within
-    reach).  Binned, w = 1/n_windows: t * (n_windows / 2**53) rounds by at
-    most 2**-53 * n_windows, one tick, so two ticks in one window differ by
-    at most 2**53 / n_windows + 2, and w rounds by under one tick.  One more
-    tick covers the detector bits of a key difference; the cap keeps reach
-    inside int64.
+    bits label d.  Reach is ``steps << b``, steps = ceil(min(w, 1) * 2**53)
+    + 7 for a window w = ``width`` of the record.  Sliding, w = tau/T: two
+    arrivals that both pass one anchor's float test t_a <= t <= t_a + tau
+    differ by at most ceil(w * 2**53) + 6 ticks, as u*T, t_a + tau and w
+    each round by at most 2**-53 relative, u < 1 (beyond w = 1 every
+    arrival is within reach).  Binned, w = 1/n_windows: t * (n_windows /
+    2**53) rounds by at most 2**-53 * n_windows, one tick, so two ticks in
+    one window differ by at most 2**53 / n_windows + 2, and w rounds by
+    under one tick.  One more tick covers the detector bits of a key
+    difference; the cap keeps reach inside int64.
 
-    Two stages.  A screen first sorts each chunk's cells ``t >> s``, s =
-    max((steps - 1).bit_length(), log2(span) - 32), as uint32: a cell of
-    2**s ticks covers the reach, so two keys within reach differ by at most
-    ``steps`` ticks and lie in cells at most 1 apart.  ``span`` is the
-    length of the aligned power-of-two spans the chunks cover, at most 2**32
-    cells each, so the truncated cells lose only the bits that a chunk's
-    arrivals share; at the default, one span for the record, s >= 21 and
-    nothing is truncated, so the chunks may be cut anywhere.  A chunk with
-    no two cells within 1, its bottom cell more than 1 above the previous
-    chunk's top cell and no key held from that chunk has no survivor and is
-    skipped.  Otherwise the exact walk sorts the keys of the candidates: the
-    arrivals in cells with a neighbour cell within 1, and those in the
-    bottom and top cells, so the chunk's first and last keys stay exact.
-    Picking them costs a pass per candidate, so beyond 16 the whole chunk is
-    keyed.  Dropping the others drops no pair within reach: each of them is
-    more than ``steps`` ticks from every other arrival, and two merged
-    neighbours within reach are both candidates, so they stay neighbours.
-    Removing arrivals only widens the gaps between those that remain, so no
-    new pair comes within reach.  A skipped chunk's last key is found only
-    where the next chunk may join it: its top cell within 1 of the next
-    span's first cell, or any chunk at the default span.
+    A screen sorts each chunk's cells ``t >> s`` as uint32, s = max((steps
+    - 1).bit_length(), log2(span) - 32): a cell of 2**s ticks covers the
+    reach, so two keys within reach lie in cells at most 1 apart.  ``span``
+    is the length of the aligned power-of-two spans the chunks cover, at
+    most 2**32 cells each, so the truncated cells lose only the bits that a
+    chunk's arrivals share; at the default, one span for the record, nothing
+    is truncated and the chunks may be cut anywhere.  A chunk with no two
+    cells within 1 and its bottom cell more than 1 above the previous
+    chunk's top cell is skipped; it adds its last key only if the next
+    chunk's bottom cell lies within 1 of its top cell, so a trial holds up
+    to two chunks.  A walked chunk keys and sorts its candidates, the
+    arrivals in cells with a neighbour cell within 1 and in the bottom and
+    top cells (beyond 16 the whole chunk, as picking costs a pass per
+    candidate), and adds its first and last keys and those with a neighbour
+    within reach.  The same filter runs once more over all that the chunks
+    added: a subset of the merged keys that holds both members of every
+    merged pair within reach, as such neighbours are candidates of one
+    chunk, or the last key of one chunk and the first of the next.
     """
     steps = math.ceil(min(width, 1.0) * TICKS) + 7
-    s, edge = max((steps - 1).bit_length(), span.bit_length() - 33), span.bit_length() - 1
-    parts, last, top, held = [np.empty(0, dtype=np.int64)], None, -2, False
+    s = max((steps - 1).bit_length(), span.bit_length() - 33)
+    parts, top, skipped = [np.empty(0, dtype=np.int64)], -2, None
     buffer = np.empty(0, dtype=np.uint32)
     for ticks in chunks:  # at least one chunk
         n, b = len(ticks), max(1, (len(ticks) - 1).bit_length())
+        reach = min(steps << b, 2**63 - 1)
         size = sum(t.size for t in ticks)
         if not size:
             continue
@@ -224,15 +233,14 @@ def _survivor_keys(chunks, width: float, span: int = TICKS) -> tuple[np.ndarray,
             buffer = np.empty(size, dtype=np.uint32)
         cells = _cells(ticks, s, buffer[:size])
         cells.sort()
-        first = next(int(t[0]) for t in ticks if t.size)
-        high = first >> s >> 32 << 32  # the cell bits all of the chunk's arrivals share
+        high = next(int(t[0]) for t in ticks if t.size) >> s >> 32 << 32  # the cell bits the chunk shares
         below, top = top, high + int(cells[-1])
+        adjacent = high + int(cells[0]) <= below + 1
+        if adjacent and skipped is not None:
+            parts.append(np.array([max(int(t.max()) << b | d for d, t in enumerate(skipped) if t.size)]))
         near = np.diff(cells) <= 1
-        if not (held or high + int(cells[0]) <= below + 1 or near.any()):
-            if span == TICKS or top + 1 >= ((first >> edge) + 1 << edge) >> s:
-                last = np.array([max(int(t.max()) << b | d for d, t in enumerate(ticks) if t.size)])
-            else:
-                last = None
+        skipped = None if adjacent or near.any() else ticks
+        if skipped is not None:
             continue
         pick = np.zeros(size, dtype=bool)
         pick[1:], pick[0], pick[-1] = near, True, True
@@ -248,19 +256,11 @@ def _survivor_keys(chunks, width: float, span: int = TICKS) -> tuple[np.ndarray,
             if d:
                 key |= d
         keys.sort()
-        reach = min(steps << b, 2**63 - 1)
-        joined = last is not None and keys[0] - last[0] <= reach
-        if held or joined:
-            parts.append(last)
-        close, held = np.diff(keys) <= reach, False
-        if joined or close.any():  # rarely: most chunks hold no pair within reach
-            keep = np.zeros(keys.size, dtype=bool)
-            keep[1:], keep[0] = close, joined
-            keep[:-1] |= close
-            parts.append(keys[:-1][keep[:-1]])
-            held = bool(keep[-1])
-        last = keys[-1:].copy()
-    return np.concatenate(parts + [last] * held), b, n
+        keep = _has_neighbour(keys, reach)
+        keep[0] = keep[-1] = True
+        parts.append(keys[keep])
+    keys = np.concatenate(parts)
+    return keys[_has_neighbour(keys, reach)], b, n
 
 
 def _binned_count(chunks, n_windows: float, span: int = TICKS) -> float:
@@ -350,29 +350,18 @@ def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McC
     least that keeps the expected arrivals per chunk at most
     ``CHUNK_EVENTS``.  Both modes consume the same draw.  The stored
     prediction is each mode's mean for mean counts m_j: binned, ``m_1 *
-    prod_{j>=2} (m_j * tau / T)``; sliding, which anchors each group at its
-    earliest arrival, ``sum_d m_d * prod_{j!=d} (m_j * tau / T)``, N times
-    the binned mean, less an O(tau / T) edge term.
+    prod_{j>=2} (m_j * tau / T)``, and N times that sliding (see ``_window_factor``).
 
-    Both counts share one walk: a chunk's arrivals become int64 keys
-    ``t << b | d`` (t the tick, d the detector), sorted, and only the
-    arrivals with a merged neighbour within one jitter survive; every member
-    of a group or of a shared window has one.  A screen runs first: it sorts
-    the chunk's cells, each at least one jitter wide, as uint32 and skips a
-    chunk where no two arrivals lie in the same or adjacent cells, nor next
-    to the previous chunk's last one; in the other chunks only the arrivals
-    in such cells and in the bottom and top cells are keyed, so the
-    survivors are the same (see ``_survivor_keys``).  Binned counts the windows
-    that N survivors share, sliding counts the survivors exactly by
-    ``searchsorted``.  The 10-bit label beside a 53-bit tick caps either
-    mode at 1024 detectors.
+    Both modes count on the arrivals with a merged neighbour within one
+    jitter, found by ``_survivor_keys``, whose 10-bit detector label beside
+    a 53-bit tick caps either mode at 1024 detectors.
 
-    A trial holds its K x N chunk counts, one chunk and the survivors,
-    about ``events * (1 - exp(-2 * sum(rate) * tau))`` of its ``events =
-    sum(rate) * t_meas``.  The guard charges 8 bytes per chunk count and
-    ``BYTES_PER_EVENT`` per expected arrival held, times the trials in
-    flight, ``min(workers, trials)`` (a pool starts them all at once); a run
-    above the physical memory is refused before any draw.
+    A trial holds its K x N chunk counts, up to two chunks and the
+    survivors, about ``events * (1 - exp(-2 * sum(rate) * tau))`` of its
+    ``events = sum(rate) * t_meas``.  The guard charges 8 bytes per chunk
+    count and ``BYTES_PER_EVENT`` per expected arrival held, times the
+    trials in flight, ``min(workers, trials)`` (a pool starts them all at
+    once); a run above the physical memory is refused before any draw.
 
     In either mode the window count ``t_meas / jitter`` may not exceed
     ``MAX_WINDOWS`` = 2**46.  Arrival times have 2**53 levels (the lattice
@@ -398,7 +387,7 @@ def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McC
     _require(t_meas / tau <= MAX_WINDOWS, "measurement_time_s",
              f"window count {t_meas / tau:.3e} exceeds 2**46, the most the uniform "
              "draw resolves; scale the measurement time down")
-    _require(workers >= 1, "workers", f"must be >= 1, got {workers}")
+    workers = _integer(workers, "workers", 1)
     events, in_flight = sum(rates) * t_meas, min(workers, mc.trials)
     chunks = _chunk_grid(rates, t_meas)
     held = events / chunks - events * math.expm1(-2.0 * sum(rates) * tau)
@@ -413,7 +402,7 @@ def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McC
         with ProcessPoolExecutor(max_workers=in_flight) as pool:
             counts = list(pool.map(trial, range(mc.trials), chunksize=max(1, mc.trials // (4 * in_flight))))
     binned_prediction = spurious_coincidences_per_detector([r * t_meas for r in rates], det).delta_pcc
-    return McResult.from_counts(np.array(counts), binned_prediction * (1 if binned else len(rates)))
+    return McResult.from_counts(np.array(counts), binned_prediction * _window_factor(len(rates), det))
 
 
 def simulate_experiment(pairs: float, phase: PhasePoint, order: int, coherence: float,

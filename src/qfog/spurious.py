@@ -21,7 +21,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .model import DetectionSpec, _require, _require_finite, _require_memory, _store_floats
+from .model import DetectionSpec, WindowMode, _require, _require_finite, _require_memory, _store_floats
 from .sagnac import shot_noise
 
 # Residual of |dphi| - threshold, in rad, at which bisection accepts a crossing.
@@ -144,6 +144,12 @@ def spurious_coincidences_per_detector(counts, det: DetectionSpec) -> SpuriousCo
     for m in counts[1:]:
         count *= float(m) * ratio
     return SpuriousCount.from_count(count, det.measurement_time_s)
+
+
+def _window_factor(order: int, det: DetectionSpec) -> int:
+    """Accidentals in ``det``'s window mode per binned product: 1, or N sliding, where each
+    group is anchored at its earliest arrival (less an O(jitter / t_meas) edge term)."""
+    return order if det.window_mode is WindowMode.SLIDING else 1
 
 
 def coincidence_shift_forward(pairs: float, phase_total_rad: float, order: int,
@@ -433,7 +439,7 @@ def max_singles_flux(pairs_rate_hz: float, order: int, det: DetectionSpec) -> fl
     ``asin(2*dpcc/pairs)/N``.  This solves ``|dphi| = shot_noise`` for the
     total singles rate, so running below the returned rate keeps the
     accidental-count error under the quantum noise at those bias points.
-    Grows as the jitter shrinks.
+    Grows as the jitter shrinks.  The count is that of ``det``'s window mode.
     """
     _require_finite(pairs_rate_hz, "pairs_rate_hz")
     _require(pairs_rate_hz >= 0.0, "pairs_rate_hz", "must be >= 0")
@@ -443,8 +449,8 @@ def max_singles_flux(pairs_rate_hz: float, order: int, det: DetectionSpec) -> fl
     t = det.measurement_time_s
     pairs = float(pairs_rate_hz) * t
     target_shift = shot_noise(order, noon_pairs=pairs)
-    # Exact inversion at quadrature; saturates at the largest reachable shift.
-    target_count = 0.5 * pairs * math.sin(min(order * target_shift, 0.5 * math.pi))
+    # Exact inversion at quadrature, as a binned product; saturates at the largest reachable shift.
+    binned = 0.5 * pairs * math.sin(min(order * target_shift, 0.5 * math.pi)) / _window_factor(order, det)
     # Split into two roots so that (t/jitter)**(N-1) cannot overflow at large N.
-    per_detector = target_count ** (1.0 / order) * (t / det.jitter_s) ** ((order - 1) / order)
+    per_detector = binned ** (1.0 / order) * (t / det.jitter_s) ** ((order - 1) / order)
     return order * per_detector / t

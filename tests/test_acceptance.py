@@ -10,6 +10,7 @@ import math
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,8 @@ from qfog import (
     spurious_coincidences,
     undefined_half_width,
 )
+from qfog.cli import assemble_budget
+from qfog.config import load_config
 from qfog.dispersion import DispersionSpec
 
 REPO = Path(__file__).resolve().parents[1]
@@ -205,6 +208,25 @@ def test_sliding_prediction_matches_event_streams(detectors):
     binned = 1e4 * (1e4 * 4e-6) ** (detectors - 1)
     assert result.analytic_prediction == pytest.approx(detectors * binned, rel=1e-12)
     assert abs(result.z_score) < 3.0, (result.mean_coincidences, result.analytic_prediction, result.z_score)
+
+
+@pytest.mark.parametrize("order, jitter_s", [(2, 1e-7), (3, 2.2e-6)])
+def test_sliding_budget_counts_what_the_event_streams_count(order, jitter_s):
+    # A sliding copy of the benchmark config over 2 s: the budget's accidental count is
+    # N times the binned one, 145 (N = 2) and 60 (N = 3), and the event streams agree.
+    cfg = load_config(BENCH_CONFIG)
+    cfg = replace(cfg, source=replace(cfg.source, noon_order=order),
+                  detection=DetectionSpec(jitter_s, 2.0, WindowMode.SLIDING))
+    budget = assemble_budget(cfg)
+    sliding = budget.spurious.delta_pcc
+    binned = assemble_budget(replace(cfg, detection=DetectionSpec(jitter_s, 2.0))).spurious.delta_pcc
+    assert sliding == pytest.approx(order * binned, rel=1e-15) and sliding >= 50.0
+    trials = 40
+    result = simulate_uncorrelated([budget.singles_rate_hz / order] * order, cfg.detection,
+                                   McConfig(seed=20241021, trials=trials))
+    assert result.analytic_prediction == pytest.approx(sliding, rel=1e-12)
+    se = math.sqrt(result.variance / trials)
+    assert abs(result.mean_coincidences - sliding) < 5.0 * se, (result.mean_coincidences, sliding, se)
 
 
 def test_criterion_11_dispersion_and_drift():

@@ -229,8 +229,8 @@ def _random_case(rng, dense, detectors=(2, 5)):
 
 @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
 def test_chunked_binned_count_matches_whole_record(monkeypatch, dense):
-    # Dense windows span many chunks, so the carried boundary window is exercised
-    # through long runs of chunk edges; 1 to 2048 chunks per record.
+    # Dense windows span many chunks, so pairs across chunk edges are exercised
+    # through long runs of them; 1 to 2048 chunks per record.
     rng = np.random.default_rng(71 + dense)
     found = 0.0
     for seed in range(24):
@@ -549,6 +549,49 @@ def test_trial_holds_one_chunk(mode):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("mode", list(WindowMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("jitter_s, t_meas_s", [(156e-12, 18.0), (1e-6, 4.0), (1e-3, 4.0)],
+                         ids=["156ps-18s", "1us-4s", "1ms-4s"])
+def test_trial_peak_stays_within_the_memory_guard(monkeypatch, mode, jitter_s, t_meas_s):
+    # The guard charges 8 bytes per chunk count and BYTES_PER_EVENT per arrival held, a
+    # chunk's and the expected survivors'.  Sparse windows skip most chunks, so a trial
+    # holds a skipped chunk beside the next; at 1 ms every arrival survives.
+    simulate_uncorrelated([1.0, 1.0], DetectionSpec(1e-6, 1.0, mode), McConfig(seed=1, trials=1))  # imports
+    charged = []
+    monkeypatch.setattr(montecarlo, "_require_memory", lambda nbytes, *args: charged.append(nbytes))
+    tracemalloc.start()
+    try:
+        simulate_uncorrelated([19.05e3] * 2, DetectionSpec(jitter_s, t_meas_s, mode), McConfig(seed=5, trials=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(charged) == 1 and 0 < peak <= charged[0]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", True), ("seed", 3.0), ("seed", "3"),
+    ("trials", True), ("trials", 2.0), ("trials", np.int64(0)),
+    ("workers", 2.5), ("workers", "2"), ("workers", True), ("workers", np.int64(0)),
+], ids=["seed-bool", "seed-float", "seed-text", "trials-bool", "trials-float", "trials-numpy-zero",
+        "workers-float", "workers-text", "workers-bool", "workers-numpy-zero"])
+def test_integer_fields_refuse_bools_floats_and_text(monkeypatch, field, value):
+    # Refused by name before any draw, and before a pool could start.
+    monkeypatch.setattr(montecarlo, "rng_stream", lambda seed, i: pytest.fail("drew before the check"))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", lambda **kw: pytest.fail("started a pool"))
+    args = {"seed": 1, "trials": 2, "workers": 2, field: value}
+    with pytest.raises(ValueError, match=f"^{field}: must be an integer"):
+        simulate_uncorrelated([1.0, 1.0], DetectionSpec(1e-6, 1.0),
+                              McConfig(seed=args["seed"], trials=args["trials"]), workers=args["workers"])
+
+
+def test_integer_fields_take_numpy_integers():
+    mc = McConfig(seed=np.int64(3), trials=np.int32(2))
+    assert (type(mc.seed), type(mc.trials), mc) == (int, int, McConfig(seed=3, trials=2))
+    det = DetectionSpec(1e-6, 1.0)
+    counts = simulate_uncorrelated([3000.0, 3000.0], det, mc, workers=np.int64(1)).per_trial
+    assert np.array_equal(counts, simulate_uncorrelated([3000.0, 3000.0], det, McConfig(seed=3, trials=2)).per_trial)
 
 
 @pytest.mark.parametrize("mode", list(WindowMode), ids=lambda m: m.value)

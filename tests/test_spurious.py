@@ -9,6 +9,7 @@ from qfog import (
     DetectionSpec,
     PhaseShiftSolution,
     SpuriousCount,
+    WindowMode,
     bias_zone_scan,
     coincidence_shift_forward,
     max_singles_flux,
@@ -457,6 +458,21 @@ def test_max_flux_back_substitution():
     assert solution.defined
     target = shot_noise(2, noon_pairs=pairs)
     assert abs(abs(solution.value_rad) - target) / target < 1e-6
+
+
+@pytest.mark.parametrize("order", [2, 3, 5])
+def test_max_flux_back_substitution_in_the_sliding_mode(order):
+    # Sliding windows count N times the binned product, so the tolerable flux is
+    # N**(-1/N) of the binned one and the shift at quadrature is still the shot noise.
+    sliding = DetectionSpec(156e-12, 1800.0, WindowMode.SLIDING)
+    rate = max_singles_flux(4000.0, order, sliding)
+    assert rate == pytest.approx(max_singles_flux(4000.0, order, DET) * order ** (-1.0 / order), rel=1e-12)
+    binned = spurious_coincidences(rate * sliding.measurement_time_s, order, sliding)
+    count = SpuriousCount.from_count(order * binned.delta_pcc, sliding.measurement_time_s)
+    pairs = 4000.0 * sliding.measurement_time_s
+    solution = phase_shift_spurious(pairs, math.pi / (2 * order), order, count)
+    target = shot_noise(order, noon_pairs=pairs)
+    assert solution.defined and abs(abs(solution.value_rad) - target) / target < 1e-6
 
 
 def test_sub_shot_noise_cusp_condition_is_quarter_count():
