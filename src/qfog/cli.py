@@ -58,16 +58,14 @@ SWEEP_COLUMNS = ("phase_total_rad", "abs_dphi_p_rad", "defined_flag",
 
 # Peak memory per sweep row: the grid, the profile and two copies of the CSV
 # text (the rendered bytes and the str, 77 bytes per row each).  Traced, 180
-# bytes per row at 1e5 rows; peak RSS growth 179 at 1e6, and 185 where the
-# defined flag flips every row or two (74-byte rows, most rendered through the
-# row template).  Rounded up for rows of up to 83 bytes (a negative phase and
+# bytes per row at 1e5 rows; peak RSS growth 180 at 1e6, and 177 traced and 173
+# RSS where the defined flag flips every row or two (74-byte rows, a quarter of
+# them undefined).  Rounded up for rows of up to 83 bytes (a negative phase and
 # three-digit exponents).
 SWEEP_BYTES_PER_ROW = 190
 
-# Fewest rows of one layout rendered as a matrix.  A matrix block costs about
-# 8 us of NumPy calls, a row through the f-string template under 2 us; of 1, 4,
-# 8 and 16, 8 rendered a 1e5-row sweep whose flag flips every row or two fastest.
-SWEEP_MIN_RUN = 8
+# Rows rendered as one block: a matrix of row slots, or one ``join`` of rows.
+SWEEP_BLOCK_ROWS = 1024
 
 
 def _e(x: float) -> str:
@@ -236,14 +234,14 @@ def _sweep_text(header: str, grid, signed, defined, constants: str) -> str:
     |8 - e| <= 22, so the product is rounded once, by at most 6e-8, and r
     is what ``.8e`` rounds to if the product lies in [1e8, 1e9 - 1/2), so
     that e is the exponent, and more than 1e-6 from a half.  Other values
-    (zeros, exponents beyond that range, near-halves) are undecided, and
-    their rows go through ``row`` itself.  The other rows fall into runs of one
-    layout (sign of phi, defined flag); each run of ``SWEEP_MIN_RUN`` rows or
-    more is a matrix in one uint8 buffer of the whole text, its rows copies
-    of ``row``'s own text with the digits from a "0000" ... "9999" table, and
-    shorter runs go through ``row`` too (see ``_sweep_blocks``), written into
-    the buffer 1024 rows at a time.  The buffer is decoded once.  The bytes
-    are those of ``row`` at every point.
+    (zeros, exponents beyond that range, near-halves) are undecided.  The
+    rows are rendered ``SWEEP_BLOCK_ROWS`` at a time into one uint8 buffer
+    of the whole text.  In a block whose rows are all decided, each row is a
+    slot holding a copy of ``row(-1.0, 1.0, True)``'s text, its digits from
+    a "0000" ... "9999" table and its flag filled in; a mask keeps the "-"
+    only where phi < 0 and the error only where it is defined.  Any other
+    block goes through ``row`` itself.  The buffer is decoded once.  The
+    bytes are those of ``row`` at every point.
     """
     import numpy as np
 
@@ -271,56 +269,39 @@ def _sweep_text(header: str, grid, signed, defined, constants: str) -> str:
         out = np.empty((len(x), 14), np.uint8)
         out[:] = np.frombuffer(b"0.00000000e+00", np.uint8)
         out[:, 0] = lead + ord("0")
-        out[:, 2:6] = table[rest // 10**4]
-        out[:, 6:10] = table[rest % 10**4]
+        out[:, 2:6] = table.take(rest // 10**4, axis=0)
+        out[:, 6:10] = table.take(rest % 10**4, axis=0)
         out[:, 11] = np.where(exponent < 0, ord("-"), ord("+"))
-        out[:, 12:14] = table[np.abs(exponent), 2:]
+        out[:, 12:14] = table[:, 2:].take(np.abs(exponent), axis=0)
         return out, decided
 
     phi_text, phi_decided = text(grid)
     value_text, value_decided = text(signed)
-    negative = grid < 0
     decided = phi_decided & (value_decided | ~defined)
-    layout = negative * np.int8(4) + defined * np.int8(2) + decided
+    line = np.frombuffer(row(-1.0, 1.0, True).encode(), np.uint8)  # every field present
     # Rows are written in order into one buffer sized for the longest row: a
     # negative phi and two three-digit exponents.  Its unwritten tail is never touched.
     out = np.empty(len(header) + len(grid) * (36 + len(constants)), np.uint8)
     out[:len(header)] = np.frombuffer(header.encode(), np.uint8)
     end = len(header)
-    for a, b, matrix in _sweep_blocks(layout, decided):
-        if matrix:  # copies of its layout's line, its digits filled in
-            line = row(-1.0 if negative[a] else 1.0, 1.0, defined[a]).encode()
-            run = out[end:end + (b - a) * len(line)].reshape(b - a, len(line))
-            end += run.size
-            run[:] = np.frombuffer(line, np.uint8)
-            sign = int(negative[a])
-            run[:, sign:sign + 14] = phi_text[a:b]
-            if defined[a]:
-                run[:, sign + 15:sign + 29] = value_text[a:b]
-        else:  # 1024 rows at a time: ``join`` lists its parts first
-            for c in range(a, b, 1024):
-                s = slice(c, min(b, c + 1024))
-                text = "".join(map(row, grid[s].tolist(), signed[s].tolist(), defined[s].tolist())).encode()
-                out[end:end + len(text)] = np.frombuffer(text, np.uint8)
-                end += len(text)
+    for a in range(0, len(grid), SWEEP_BLOCK_ROWS):
+        s = slice(a, a + SWEEP_BLOCK_ROWS)
+        if decided[s].all():
+            slots = np.tile(line, (len(grid[s]), 1))
+            slots[:, 1:15] = phi_text[s]
+            slots[:, 16:30] = value_text[s]
+            slots[:, 31] = defined[s] + np.uint8(ord("0"))
+            keep = np.ones(slots.shape, bool)
+            keep[:, 0] = grid[s] < 0
+            keep[:, 16:30] = defined[s, None]
+            block = slots[keep]
+        else:  # ``join`` lists its parts first, so a block at a time
+            block = np.frombuffer(
+                "".join(map(row, grid[s].tolist(), signed[s].tolist(), defined[s].tolist())).encode(), np.uint8)
+        out[end:end + block.size] = block
+        end += block.size
     del phi_text, value_text
     return str(out[:end], "ascii")
-
-
-def _sweep_blocks(layout, decided) -> list[tuple[int, int, bool]]:
-    """(first row, end row, matrix) of each block of a sweep's rows.
-
-    Rows fall into runs of one layout.  A run of at least ``SWEEP_MIN_RUN``
-    decided rows is a matrix block; the runs up to the next one form one
-    block rendered through the row template.
-    """
-    import numpy as np
-
-    starts = np.flatnonzero(np.diff(layout, prepend=np.int8(-1)))
-    matrix = decided[starts] & (np.diff(starts, append=layout.size) >= SWEEP_MIN_RUN)
-    first = matrix | np.append(True, matrix)[:-1]  # matrix runs and the runs after them
-    starts = starts[first].tolist()
-    return list(zip(starts, [*starts[1:], layout.size], matrix[first].tolist()))
 
 
 def sweep_rows(cfg: InstrumentConfig, from_rad: float, to_rad: float, points: int) -> str:
@@ -410,7 +391,8 @@ def format_mc(cfg: InstrumentConfig, trials: int, seed: int, scale: float,
     order = b.noon_order
     mc = McConfig(seed=seed, trials=trials)
 
-    rates = [b.singles_rate_hz / order] * order
+    # Each detector's stream holds its share of the singles and its dark counts, as the budget's count does.
+    rates = [b.singles_rate_hz / order + cfg.source.dark_rate_hz] * order
     coincidences = simulate_uncorrelated(rates, scaled_det, mc, workers=workers)
     point = PhasePoint(b.sagnac_phase_rad, cfg.bias_phase_rad)
     estimate = simulate_experiment(b.noon_pairs, point, order, b.coherence_total, b.spurious, mc)

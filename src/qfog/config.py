@@ -125,9 +125,11 @@ def config_to_dict(cfg: InstrumentConfig) -> dict:
 
 def load_config(path) -> InstrumentConfig:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")  # JSON's encoding, whatever the locale
     except OSError as exc:
         raise ConfigParseError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(f"{path}: not UTF-8: {exc}") from exc
     try:
         data = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit

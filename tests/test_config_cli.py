@@ -9,6 +9,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from qfog.config import (
     dump_config,
     load_config,
 )
+from qfog.montecarlo import MAX_WINDOWS, McConfig, simulate_uncorrelated
 
 REPO = Path(__file__).resolve().parents[1]
 BENCH_CONFIG = REPO / "configs" / "silvestri2024.json"
@@ -167,6 +169,16 @@ def test_parse_errors_are_distinct(tmp_path):
     bad.write_text('{"base_coherence": 1' + "0" * 5000 + "}")
     with pytest.raises(ConfigParseError):
         load_config(bad)
+
+
+def test_non_utf8_config_is_a_parse_error(tmp_path, capsys):
+    # JSON text is UTF-8; undecodable bytes are a parse error (exit 2), not a traceback.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"a":1}')
+    with pytest.raises(ConfigParseError, match="UTF-8"):
+        load_config(bad)
+    assert main(["budget", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("config parse error: ")
 
 
 def test_cli_exit_codes(tmp_path, bench_dict, capsys):
@@ -518,6 +530,50 @@ def test_mc_experiment_applies_coherence_once(tmp_path, bench_dict, capsys):
     assert 3.5 <= spread / shot <= 4.5
 
 
+@pytest.mark.parametrize("mode, count", [("binned", "9.14004778e+00"), ("sliding", "1.82800956e+01")])
+def test_mc_streams_carry_the_dark_counts(tmp_path, bench_dict, capsys, mode, count):
+    # 38 kHz of dark counts per detector: the streams carry them, so the printed
+    # prediction is the scaled budget's accidental count, not the dark-free 1.019.
+    bench_dict["source"]["dark_rate_hz"] = 38000.0
+    bench_dict["detection"]["window_mode"] = mode
+    assert main(["mc", "--config", _write(tmp_path, bench_dict), "--trials", "2", "--scale", "0.01"]) == 0
+    out = capsys.readouterr().out
+    assert _budget_value(out, "  analytic prediction") == count
+    assert _budget_value(out, "per-detector singles rate [Hz]") == "5.70526316e+04"
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(valid_config_dicts(), st.sampled_from(["binned", "sliding"]), st.floats(0.0, 300.0))
+def test_budget_count_equals_the_event_stream_prediction(data, mode, loss_db):
+    # The budget's accidental count, at a measurement time short enough for a trial
+    # of at most ~1e4 arrivals, is the analytic prediction of the uncorrelated run on
+    # the streams ``mc`` builds: each detector's singles share plus its dark rate.
+    # Dispersion does not enter the count and the path loss only through the singles
+    # rate, so both are set where the budget stays computable.
+    data["detection"]["window_mode"] = mode
+    data["path"] = {"fiber_loss_db_per_km": 0.0, "lumped_loss_db": loss_db}
+    data["dispersion"] = {key: 0.0 for key in DISPERSION_KEYS}
+    cfg = config_from_dict(data)
+    det = cfg.detection
+
+    def budget(t_meas):
+        return assemble_budget(replace(cfg, detection=replace(det, measurement_time_s=t_meas)))
+
+    try:
+        # The singles rate does not depend on the measurement time; the shortest keeps the count finite.
+        singles_rate = budget(2.0 * det.jitter_s).singles_rate_hz
+    except ValueError:
+        return
+    order = cfg.source.noon_order
+    rates = [singles_rate / order + cfg.source.dark_rate_hz] * order
+    t_meas = min(det.measurement_time_s, 1e4 / max(sum(rates), 1e-300), MAX_WINDOWS * det.jitter_s)
+    if not t_meas > det.jitter_s:
+        return
+    expected = budget(t_meas).spurious.delta_pcc
+    result = simulate_uncorrelated(rates, replace(det, measurement_time_s=t_meas), McConfig(seed=1, trials=1))
+    assert result.analytic_prediction == pytest.approx(expected, rel=1e-12)
+
+
 # sha256 of the stdout of each report on the shipped configs; the text
 # layout of every report is pinned byte for byte.
 def reference_rows(grid, signed, defined, constants):
@@ -593,23 +649,35 @@ def test_sweep_rows_equal_the_row_by_row_renderer_on_edge_configs(data, from_rad
     assert text == reference_sweep(cfg, from_rad, to_rad, points)
 
 
-def test_aliased_sweep_joins_short_runs_into_template_blocks(monkeypatch, bench_dict):
-    # A grid far coarser than pi/N flips the defined flag every row or two.  Runs
-    # shorter than SWEEP_MIN_RUN rows join one template block instead of each
-    # making a matrix block; the blocks tile the rows and the bytes stay the oracle's.
+def test_aliased_sweep_equals_the_row_by_row_renderer(bench_dict):
+    # A grid far coarser than pi/N flips the defined flag every row or two, so
+    # the blocks of row slots mix both layouts; the bytes stay the oracle's.
     bench_dict["source"]["initial_noon_fraction"] = 0.01
     cfg, points = config_from_dict(bench_dict), 10**5
-    built, real = [], cli._sweep_blocks
-    monkeypatch.setattr(cli, "_sweep_blocks", lambda *args: built.append(real(*args)) or built[-1])
     assert sweep_rows(cfg, -1e30, 1e30, points) == reference_sweep(cfg, -1e30, 1e30, points)
     b = assemble_budget(cfg)
     _, defined = phase_shift_profile(b.effective_pairs, np.linspace(-1e30, 1e30, points), b.noon_order, b.spurious)
-    flips = np.count_nonzero(np.diff(defined))
-    (blocks,) = built
-    assert flips > 10**4 and len(blocks) < flips / 50
-    assert [a for a, _, _ in blocks] == [0, *(end for _, end, _ in blocks[:-1])] and blocks[-1][1] == points
-    assert all(end - a >= cli.SWEEP_MIN_RUN for a, end, matrix in blocks if matrix)
-    assert all(first or second for (*_, first), (*_, second) in zip(blocks, blocks[1:]))
+    assert np.count_nonzero(np.diff(defined)) > 10**4
+
+
+B = cli.SWEEP_BLOCK_ROWS
+
+
+# Values whose ".8e" text the vectorised rounding leaves undecided: a zero,
+# exponents beyond its powers of ten and a near-tie of the ninth digit.
+@pytest.mark.parametrize("undecided", [0.0, 1e-300, 1e300, float("1.234567895e-3")])
+@pytest.mark.parametrize("side", ["last", "first"])
+@pytest.mark.parametrize("length", [B - 1, B, B + 1, 3 * B + 5])
+def test_sweep_renderer_across_block_edges(length, side, undecided):
+    # ``undecided`` at k*B - 1, the last row of blocks 0, 2, ..., or at k*B, the
+    # first row of blocks 1, 3, ..., so each block edge joins a block rendered
+    # through ``row`` to a block of row slots; negative phases and undefined rows
+    # are mixed into both.
+    rng = np.random.default_rng(length)
+    values = rng.uniform(-1.0, 1.0, length) * 10.0 ** rng.integers(-10, 10, length)
+    values[B - (side == "last")::2 * B] = undecided
+    text, expected = rendered_and_expected(values.tolist(), rng.random(length) < 0.7)
+    assert text == expected
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -643,8 +711,8 @@ def test_sweep_peak_memory_stays_within_its_guard():
 
 
 def test_aliased_sweep_peak_memory_stays_within_its_guard(bench_dict):
-    # A grid far coarser than pi/N renders most rows through the row template; their
-    # text goes straight into the output buffer, so the peak is the plain grid's.
+    # A grid far coarser than pi/N leaves a quarter of the rows undefined; each block
+    # of row slots is compacted straight into the output buffer, so the peak is the plain grid's.
     bench_dict["source"]["initial_noon_fraction"] = 0.01
     cfg, points = config_from_dict(bench_dict), 10**5
     sweep_rows(cfg, -1e30, 1e30, 2)
