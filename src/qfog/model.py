@@ -14,6 +14,7 @@ safe to share between threads or processes.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -49,6 +50,24 @@ def _store_floats(obj, *fields: str) -> None:
     """
     for field in fields:
         object.__setattr__(obj, field, float(getattr(obj, field)))
+
+
+def _integer(value, field: str, least: int | None = None) -> int:
+    """``value`` as a Python int: a Python or NumPy integer, not a bool, and at least ``least``."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    _require(number is not None and (least is None or number >= least),
+             field, f"must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
+    return number
+
+
+def _order(value, least: int = 1) -> int:
+    """An entangled order ``value`` as a Python int, at least ``least``."""
+    order = _integer(value, "order")
+    _require(order >= least, "order", f"must be >= {least}, got {order}")
+    return order
 
 
 def _require_finite(value: float, field: str) -> None:
@@ -112,8 +131,7 @@ class SourceSpec:
     dark_rate_hz: float = 0.0
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.noon_order, int) and not isinstance(self.noon_order, bool),
-                 "noon_order", f"must be an integer, got {self.noon_order!r}")
+        object.__setattr__(self, "noon_order", _integer(self.noon_order, "noon_order"))
         _require(self.noon_order >= 2, "noon_order",
                  f"entangled order must be >= 2, got {self.noon_order}")
         _require_finite(self.pair_rate_hz, "pair_rate_hz")

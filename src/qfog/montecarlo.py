@@ -4,7 +4,8 @@ Simulates Poisson photon arrival streams at each detector and counts
 N-fold coincidences the way real counting electronics would, providing an
 independent empirical check of the analytic accidental-count formula and
 of the phase bias it induces.  Both window modes count on the arrivals
-with a close neighbour, found chunk by chunk by ``_survivor_keys``.
+with a close neighbour, found chunk by chunk by ``_survivor_keys``, which
+walks each chunk on its own: a trial holds one chunk plus its survivors.
 
 Determinism contract: every draw depends only on ``(seed, trial_index)``,
 so results are bit-identical for a given seed no matter how trials are
@@ -24,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import DetectionSpec, PhasePoint, WindowMode, _require, _require_finite, _require_memory
+from .model import DetectionSpec, PhasePoint, WindowMode, _integer, _order, _require, _require_finite, _require_memory
 from .sagnac import coincidence_probability
 from .spurious import SpuriousCount, _minimal_branch, _window_factor, spurious_coincidences_per_detector
 
@@ -40,10 +41,10 @@ MAX_WINDOWS = 2**46
 CHUNK_EVENTS = 2**15
 
 # Peak memory per arrival charged, a chunk's and the expected survivors, rounded up
-# from 1.5e5- to 7e6-event trials: 29-31 bytes per chunk arrival (traced peak) where
-# the screen skips most chunks, as a trial then holds up to two chunks, and 40 where
-# each chunk is walked whole; 36-40 per binned and 64 per sliding survivor (peak RSS
-# growth of a trial where all survive).
+# from 1.5e5- to 7e6-event trials, each holding one chunk: 22-23 bytes per chunk
+# arrival (traced peak) where the screen skips most chunks and 36 where each chunk is
+# walked whole; 36-40 per binned and 64 per sliding survivor (peak RSS growth of a
+# trial where all survive).
 BYTES_PER_EVENT = 80
 
 # Experiment trials per generator: building one costs far more than a trial's draws.
@@ -52,14 +53,6 @@ EXPERIMENT_BLOCK = 1024
 # Peak memory per experiment trial: the measured growth of peak RSS is
 # 59-63 bytes per trial at 1e6-4e6 trials, rounded up.
 BYTES_PER_TRIAL = 72
-
-
-def _integer(value, field: str, least: int | None = None) -> int:
-    """``value`` as a Python int: a Python or NumPy integer, not a bool, and at least ``least``."""
-    _require(isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-             and (least is None or value >= least),
-             field, f"must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -185,12 +178,13 @@ def _has_neighbour(keys: np.ndarray, reach: int) -> np.ndarray:
     return keep
 
 
-def _survivor_keys(chunks, width: float, span: int = TICKS) -> tuple[np.ndarray, int, int]:
+def _survivor_keys(chunks, width: float, span: int) -> tuple[np.ndarray, int, int]:
     """Sorted keys ``t << b | d`` of the arrivals with a merged neighbour within reach; b; N.
 
-    ``chunks`` yields each chunk's ticks per detector d, in time order; b
-    bits label d.  Reach is ``steps << b``, steps = ceil(min(w, 1) * 2**53)
-    + 7 for a window w = ``width`` of the record.  Sliding, w = tau/T: two
+    ``chunks`` yields each chunk's ticks per detector d, in time order, one
+    aligned power-of-two ``span`` each, as ``_chunk_ticks`` does; b bits
+    label d.  Reach is ``steps << b``, steps = ceil(min(w, 1) * 2**53) + 7
+    for a window w = ``width`` of the record.  Sliding, w = tau/T: two
     arrivals that both pass one anchor's float test t_a <= t <= t_a + tau
     differ by at most ceil(w * 2**53) + 6 ticks, as u*T, t_a + tau and w
     each round by at most 2**-53 relative, u < 1 (beyond w = 1 every
@@ -200,29 +194,23 @@ def _survivor_keys(chunks, width: float, span: int = TICKS) -> tuple[np.ndarray,
     under one tick.  One more tick covers the detector bits of a key
     difference; the cap keeps reach inside int64.
 
-    A screen sorts each chunk's cells ``t >> s`` as uint32, s = max((steps
-    - 1).bit_length(), log2(span) - 32): a cell of 2**s ticks covers the
-    reach, so two keys within reach lie in cells at most 1 apart.  ``span``
-    is the length of the aligned power-of-two spans the chunks cover, at
-    most 2**32 cells each, so the truncated cells lose only the bits that a
-    chunk's arrivals share; at the default, one span for the record, nothing
-    is truncated and the chunks may be cut anywhere.  A chunk with no two
-    cells within 1 and its bottom cell more than 1 above the previous
-    chunk's top cell is skipped; it adds its last key only if the next
-    chunk's bottom cell lies within 1 of its top cell, so a trial holds up
-    to two chunks.  A walked chunk keys and sorts its candidates, the
-    arrivals in cells with a neighbour cell within 1 and in the bottom and
-    top cells (beyond 16 the whole chunk, as picking costs a pass per
-    candidate), and adds its first and last keys and those with a neighbour
-    within reach.  The same filter runs once more over all that the chunks
-    added: a subset of the merged keys that holds both members of every
-    merged pair within reach, as such neighbours are candidates of one
-    chunk, or the last key of one chunk and the first of the next.
+    Each chunk is walked on its own.  Its cells ``t >> s``, s = max((steps
+    - 1).bit_length(), log2(span) - 32), are sorted as uint32: a cell of
+    2**s ticks covers the reach, so keys within reach lie in cells at most
+    1 apart, and a span holds at most 2**32 cells, so truncation drops only
+    bits the chunk shares.  Edge-cell rule: cells and spans are aligned
+    powers of two, so only arrivals in the span's first and last cells (the
+    whole span, if a cell is wider) can have a neighbour in another chunk.
+    The candidates are the arrivals in cells with a neighbour cell within 1
+    and in the edge cells (beyond 16 the whole chunk, as picking costs a
+    pass per candidate); a chunk without any adds nothing.  They are keyed
+    and sorted, and those with a neighbour within reach or in an edge cell
+    kept.  One more pass of that filter over all kept keys leaves the
+    survivors, as every merged pair within reach is kept whole.
     """
     steps = math.ceil(min(width, 1.0) * TICKS) + 7
     s = max((steps - 1).bit_length(), span.bit_length() - 33)
-    parts, top, skipped = [np.empty(0, dtype=np.int64)], -2, None
-    buffer = np.empty(0, dtype=np.uint32)
+    parts, buffer = [np.empty(0, dtype=np.int64)], np.empty(0, dtype=np.uint32)
     for ticks in chunks:  # at least one chunk
         n, b = len(ticks), max(1, (len(ticks) - 1).bit_length())
         reach = min(steps << b, 2**63 - 1)
@@ -233,21 +221,17 @@ def _survivor_keys(chunks, width: float, span: int = TICKS) -> tuple[np.ndarray,
             buffer = np.empty(size, dtype=np.uint32)
         cells = _cells(ticks, s, buffer[:size])
         cells.sort()
-        high = next(int(t[0]) for t in ticks if t.size) >> s >> 32 << 32  # the cell bits the chunk shares
-        below, top = top, high + int(cells[-1])
-        adjacent = high + int(cells[0]) <= below + 1
-        if adjacent and skipped is not None:
-            parts.append(np.array([max(int(t.max()) << b | d for d, t in enumerate(skipped) if t.size)]))
-        near = np.diff(cells) <= 1
-        skipped = None if adjacent or near.any() else ticks
-        if skipped is not None:
+        base = next(int(t[0]) for t in ticks if t.size) // span * span
+        edges = (base >> s) & 0xFFFFFFFF, (base + span - 1 >> s) & 0xFFFFFFFF  # the span's first and last cells
+        in_first = int(np.searchsorted(cells, edges[0], "right")) if cells[0] == edges[0] else 0
+        in_last = size - int(np.searchsorted(cells, edges[1])) if cells[-1] == edges[1] else 0
+        if not (in_first or in_last or (np.diff(cells) <= 1).any()):
             continue
-        pick = np.zeros(size, dtype=bool)
-        pick[1:], pick[0], pick[-1] = near, True, True
-        pick[:-1] |= near
+        pick = _has_neighbour(cells, 1)
+        pick[:in_first] = pick[size - in_last:] = True
         if np.count_nonzero(pick) <= 16:  # a pass per candidate; keying the whole chunk costs a sort
             wanted = cells[pick]
-            mask = np.isin(_cells(ticks, s, cells), wanted)
+            mask = np.isin(_cells(ticks, s, cells), wanted, kind="sort")  # the pass per candidate, not "table"
             ticks = [t[m] for t, m in zip(ticks, np.split(mask, np.cumsum([t.size for t in ticks[:-1]])))]
         keys, start = np.empty(sum(t.size for t in ticks), dtype=np.int64), 0
         for d, t in enumerate(ticks):
@@ -257,13 +241,13 @@ def _survivor_keys(chunks, width: float, span: int = TICKS) -> tuple[np.ndarray,
                 key |= d
         keys.sort()
         keep = _has_neighbour(keys, reach)
-        keep[0] = keep[-1] = True
+        keep[:in_first] = keep[keys.size - in_last:] = True
         parts.append(keys[keep])
     keys = np.concatenate(parts)
     return keys[_has_neighbour(keys, reach)], b, n
 
 
-def _binned_count(chunks, n_windows: float, span: int = TICKS) -> float:
+def _binned_count(chunks, n_windows: float, span: int) -> float:
     """Windows (out of n_windows) holding at least one arrival per detector.
 
     An arrival in a shared window has a merged neighbour there, so only the
@@ -281,7 +265,7 @@ def _binned_count(chunks, n_windows: float, span: int = TICKS) -> float:
     return float(np.count_nonzero(windows[n - 1:] == windows[:max(0, windows.size - n + 1)]))
 
 
-def _sliding_count(chunks, t_meas: float, tau: float, span: int = TICKS) -> float:
+def _sliding_count(chunks, t_meas: float, tau: float, span: int) -> float:
     """N-fold groups (one arrival per detector) with spread <= tau.
 
     Inside a group's span every gap between consecutive merged arrivals is
@@ -356,8 +340,8 @@ def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McC
     jitter, found by ``_survivor_keys``, whose 10-bit detector label beside
     a 53-bit tick caps either mode at 1024 detectors.
 
-    A trial holds its K x N chunk counts, up to two chunks and the
-    survivors, about ``events * (1 - exp(-2 * sum(rate) * tau))`` of its
+    A trial holds its K x N chunk counts, one chunk and the survivors,
+    about ``events * (1 - exp(-2 * sum(rate) * tau))`` of its
     ``events = sum(rate) * t_meas``.  The guard charges 8 bytes per chunk
     count and ``BYTES_PER_EVENT`` per expected arrival held, times the
     trials in flight, ``min(workers, trials)`` (a pool starts them all at
@@ -427,7 +411,7 @@ def simulate_experiment(pairs: float, phase: PhasePoint, order: int, coherence: 
     _require(pairs > 0.0, "pairs", "must be > 0")
     m = int(round(pairs))
     _require(m >= 1, "pairs", "must round to at least one pair")
-    _require(order >= 1, "order", f"must be >= 1, got {order}")
+    order = _order(order)
     _require_finite(coherence, "coherence")
     _require(0.0 < coherence <= 1.0, "coherence",
              "must lie in (0, 1] (the fringe inversion divides by it)")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .model import SPEED_OF_LIGHT_M_PER_S, GyroGeometry, PhasePoint, _require, _require_finite
+from .model import SPEED_OF_LIGHT_M_PER_S, GyroGeometry, PhasePoint, _order, _require, _require_finite
 
 
 def sagnac_phase(omega_rad_per_s: float, geom: GyroGeometry) -> float:
@@ -39,16 +39,8 @@ def coincidence_probability(pairs: float, phase: PhasePoint, order: int,
     _require(pairs >= 0.0, "pairs", "must be >= 0")
     _require_finite(coherence, "coherence")
     _require(0.0 <= coherence <= 1.0, "coherence", "must lie in [0, 1]")
+    order = _order(order)
     return 0.5 * float(pairs) * (1.0 + float(coherence) * math.cos(order * phase.total_rad))
-
-
-def _total_photons(order: int, total_photons: float | None, noon_pairs: float | None) -> float:
-    if (total_photons is None) == (noon_pairs is None):
-        raise ValueError("supply exactly one of total_photons or noon_pairs")
-    m = total_photons if total_photons is not None else order * noon_pairs
-    _require_finite(m, "total_photons")
-    _require(m > 0.0, "total_photons", "must be > 0 (phase uncertainty is undefined without photons)")
-    return float(total_photons) if total_photons is not None else order * float(noon_pairs)
 
 
 def shot_noise(order: int, total_photons: float | None = None, *,
@@ -60,8 +52,13 @@ def shot_noise(order: int, total_photons: float | None = None, *,
     as ``noon_pairs`` with ``M = N * noon_pairs``; exactly one of the two
     arguments must be supplied.  Monotone decreasing in both N and M.
     """
-    _require(order >= 1, "order", f"must be >= 1, got {order}")
-    m = _total_photons(order, total_photons, noon_pairs)
+    order = _order(order)
+    if (total_photons is None) == (noon_pairs is None):
+        raise ValueError("supply exactly one of total_photons or noon_pairs")
+    m = total_photons if total_photons is not None else order * noon_pairs
+    _require_finite(m, "total_photons")
+    _require(m > 0.0, "total_photons", "must be > 0 (phase uncertainty is undefined without photons)")
+    m = float(total_photons) if total_photons is not None else order * float(noon_pairs)
     return 1.0 / math.sqrt(order * m)
 
 

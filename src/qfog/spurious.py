@@ -21,7 +21,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .model import DetectionSpec, WindowMode, _require, _require_finite, _require_memory, _store_floats
+from .model import DetectionSpec, WindowMode, _order, _require, _require_finite, _require_memory, _store_floats
 from .sagnac import shot_noise
 
 # Residual of |dphi| - threshold, in rad, at which bisection accepts a crossing.
@@ -122,7 +122,7 @@ def spurious_coincidences(singles_total: float, order: int, det: DetectionSpec,
     """
     _require_finite(singles_total, "singles_total")
     _require(singles_total >= 0.0, "singles_total", "must be >= 0")
-    _require(order >= 2, "order", f"must be >= 2, got {order}")
+    order = _order(order, 2)
     _require_finite(dark_rate_hz, "dark_rate_hz")
     _require(dark_rate_hz >= 0.0, "dark_rate_hz", "must be >= 0")
     per_detector = float(singles_total) / order + float(dark_rate_hz) * det.measurement_time_s
@@ -198,11 +198,11 @@ def phase_shift_spurious(pairs: float, phase_total_rad: float, order: int,
     Full validation, with the same messages, runs only if a fast in-range float test fails.
     """
     if not (pairs.__class__ is float and phase_total_rad.__class__ is float and 0.0 < pairs < math.inf
-            and -math.inf < phase_total_rad < math.inf and order >= 1):
+            and -math.inf < phase_total_rad < math.inf and order.__class__ is int and order >= 1):
         _require_finite(pairs, "pairs")
         _require(pairs > 0.0, "pairs", "must be > 0")
         _require_finite(phase_total_rad, "phase_total_rad")
-        _require(order >= 1, "order", f"must be >= 1, got {order}")
+        order = _order(order)
         pairs, phase_total_rad = float(pairs), float(phase_total_rad)
     scaled = order * phase_total_rad
     acos_arg = 2.0 * count.delta_pcc / pairs + math.cos(scaled)
@@ -224,7 +224,7 @@ def phase_shift_cusp(pairs: float, order: int, count: SpuriousCount) -> float:
     """
     _require_finite(pairs, "pairs")
     _require(pairs > 0.0, "pairs", "must be > 0")
-    return 2.0 / order * math.sqrt(count.delta_pcc / float(pairs))
+    return 2.0 / _order(order) * math.sqrt(count.delta_pcc / float(pairs))
 
 
 def undefined_half_width(pairs: float, order: int, count: SpuriousCount) -> float:
@@ -237,6 +237,7 @@ def undefined_half_width(pairs: float, order: int, count: SpuriousCount) -> floa
     anywhere).
     """
     _require(pairs > 0.0, "pairs", "must be > 0")
+    order = _order(order)
     fraction = count.delta_pcc / float(pairs)
     if fraction >= 1.0:
         return math.pi / order
@@ -255,7 +256,7 @@ def phase_shift_profile(pairs: float, phase_total_rad, order: int,
     import numpy as np
     _require(pairs > 0.0, "pairs", "must be > 0")
     phases = np.asarray(phase_total_rad, dtype=float)
-    scaled = order * phases
+    scaled = _order(order) * phases
     acos_arg = 2.0 * count.delta_pcc / float(pairs) + np.cos(scaled)
     defined = acos_arg <= 1.0
     theta = np.arccos(np.clip(acos_arg, -1.0, 1.0))
@@ -370,7 +371,7 @@ def bias_zone_scan(pairs: float, order: int, count: SpuriousCount,
     range needing more than the physical memory at ``SCAN_BYTES_PER_CELL``
     per half-period is refused before any listing.
     """
-    _require(order >= 1, "order", f"must be >= 1, got {order}")
+    order = _order(order)
     lo, hi = phase_range
     _require(hi > lo, "phase_range", "must be an increasing (lo, hi) pair")
     _require_finite(lo, "phase_range")
@@ -443,7 +444,7 @@ def max_singles_flux(pairs_rate_hz: float, order: int, det: DetectionSpec) -> fl
     """
     _require_finite(pairs_rate_hz, "pairs_rate_hz")
     _require(pairs_rate_hz >= 0.0, "pairs_rate_hz", "must be >= 0")
-    _require(order >= 2, "order", f"must be >= 2, got {order}")
+    order = _order(order, 2)
     if pairs_rate_hz == 0.0:
         return 0.0
     t = det.measurement_time_s

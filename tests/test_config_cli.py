@@ -96,6 +96,36 @@ def valid_config_dicts(draw):
     return data
 
 
+_UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def computable_config_dicts(draw):
+    """``valid_config_dicts`` whose budget ``assemble_budget`` computes for most draws.
+
+    At most 100 dB of loss, 1 m to 100 km of fiber on a coil of 1 mm to 10 m,
+    a linewidth at most half the centre wavelength, each dispersion delay at
+    most the coherence time (a factor of at least exp(-3.5) each), a nonzero
+    pair rate, and a pair fraction and base coherence of at least 1e-3;
+    large orders can still overflow the accidental count.
+    """
+    data = draw(valid_config_dicts())
+    km = draw(st.floats(1e-3, 100.0))
+    data["geometry"].update(fiber_length_m=1e3 * km, coil_radius_m=draw(st.floats(1e-3, 10.0)))
+    data["source"].update(pair_rate_hz=draw(st.floats(1e-3, 1e6)), initial_noon_fraction=draw(st.floats(1e-3, 1.0)))
+    data["base_coherence"] = draw(st.floats(1e-3, 1.0))
+    data["path"] = {"fiber_loss_db_per_km": draw(st.floats(0.0, 50.0)) / km,
+                    "lumped_loss_db": draw(st.floats(0.0, 50.0))}
+    center = data["spectrum"]["center_wavelength_m"]
+    linewidth = data["spectrum"]["linewidth_m"] = center * draw(st.floats(1e-6, 0.5))
+    tau = center**2 / (299792458.0 * linewidth)
+    data["dispersion"] = {**data.get("dispersion", {}),
+                          "chromatic_coeff_ps_per_km_nm": draw(_UNIT) * tau / (1e-12 * km * linewidth / 1e-9),
+                          "pmd_coeff_ps_per_sqrt_km": draw(_UNIT) * tau / (1e-12 * math.sqrt(km)),
+                          "reciprocal_delay_s": draw(_UNIT) * tau}
+    return data
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(valid_config_dicts())
 def test_config_round_trip_property(data):
@@ -381,21 +411,31 @@ def test_sweep_trivial_two_points(tmp_path, bench_dict):
         assert float(cells[1]) == 0.0
 
 
-@settings(max_examples=200, deadline=None, database=None)
-@given(valid_config_dicts(), st.floats(-20.0, 20.0), st.floats(0.0, 40.0), st.integers(-1, 50))
-def test_sweep_rows_on_edge_configs(data, from_rad, span, points):
-    # Either the CSV text with one flagged row per point, or a ValueError.
-    try:
-        text = sweep_rows(config_from_dict(data), from_rad, from_rad + span, points)
-    except ValueError:
-        return
-    lines = text.splitlines()
-    assert len(lines) == points + 1
-    for row in lines[1:]:
-        cells = row.split(",")
-        assert len(cells) == 6
-        assert cells[2] in ("0", "1")
-        assert (cells[1] == "") == (cells[2] == "0")
+def test_sweep_rows_on_edge_configs():
+    # Either the CSV text with one flagged row per point, or a ValueError: for an
+    # overflowing count, fewer than two points or an empty range.
+    rendered = []
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(computable_config_dicts(), st.floats(-20.0, 20.0), st.floats(0.0, 40.0), st.integers(-1, 50))
+    def check(data, from_rad, span, points):
+        try:
+            text = sweep_rows(config_from_dict(data), from_rad, from_rad + span, points)
+        except ValueError:
+            rendered.append(False)
+            return
+        rendered.append(True)
+        lines = text.splitlines()
+        assert len(lines) == points + 1
+        for row in lines[1:]:
+            cells = row.split(",")
+            assert len(cells) == 6
+            assert cells[2] in ("0", "1")
+            assert (cells[1] == "") == (cells[2] == "0")
+
+    check()
+    # 45-66 % rendered in 15 runs: the rest hold fewer than two points or an empty range.
+    assert sum(rendered) >= 0.3 * len(rendered)
 
 
 def test_sweep_benchmark_structure(tmp_path, capsys):
@@ -542,36 +582,42 @@ def test_mc_streams_carry_the_dark_counts(tmp_path, bench_dict, capsys, mode, co
     assert _budget_value(out, "per-detector singles rate [Hz]") == "5.70526316e+04"
 
 
-@settings(max_examples=150, deadline=None, database=None)
-@given(valid_config_dicts(), st.sampled_from(["binned", "sliding"]), st.floats(0.0, 300.0))
-def test_budget_count_equals_the_event_stream_prediction(data, mode, loss_db):
+def test_budget_count_equals_the_event_stream_prediction():
     # The budget's accidental count, at a measurement time short enough for a trial
     # of at most ~1e4 arrivals, is the analytic prediction of the uncorrelated run on
     # the streams ``mc`` builds: each detector's singles share plus its dark rate.
-    # Dispersion does not enter the count and the path loss only through the singles
-    # rate, so both are set where the budget stays computable.
-    data["detection"]["window_mode"] = mode
-    data["path"] = {"fiber_loss_db_per_km": 0.0, "lumped_loss_db": loss_db}
-    data["dispersion"] = {key: 0.0 for key in DISPERSION_KEYS}
-    cfg = config_from_dict(data)
-    det = cfg.detection
+    checked = []
 
-    def budget(t_meas):
-        return assemble_budget(replace(cfg, detection=replace(det, measurement_time_s=t_meas)))
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(computable_config_dicts(), st.sampled_from(["binned", "sliding"]))
+    def check(data, mode):
+        data["detection"]["window_mode"] = mode
+        cfg = config_from_dict(data)
+        det = cfg.detection
 
-    try:
-        # The singles rate does not depend on the measurement time; the shortest keeps the count finite.
-        singles_rate = budget(2.0 * det.jitter_s).singles_rate_hz
-    except ValueError:
-        return
-    order = cfg.source.noon_order
-    rates = [singles_rate / order + cfg.source.dark_rate_hz] * order
-    t_meas = min(det.measurement_time_s, 1e4 / max(sum(rates), 1e-300), MAX_WINDOWS * det.jitter_s)
-    if not t_meas > det.jitter_s:
-        return
-    expected = budget(t_meas).spurious.delta_pcc
-    result = simulate_uncorrelated(rates, replace(det, measurement_time_s=t_meas), McConfig(seed=1, trials=1))
-    assert result.analytic_prediction == pytest.approx(expected, rel=1e-12)
+        def budget(t_meas):
+            return assemble_budget(replace(cfg, detection=replace(det, measurement_time_s=t_meas)))
+
+        checked.append(False)
+        try:
+            # The singles rate does not depend on the measurement time; the shortest keeps the count finite.
+            singles_rate = budget(2.0 * det.jitter_s).singles_rate_hz
+        except ValueError:
+            return
+        order = cfg.source.noon_order
+        rates = [singles_rate / order + cfg.source.dark_rate_hz] * order
+        t_meas = min(det.measurement_time_s, 1e4 / max(sum(rates), 1e-300), MAX_WINDOWS * det.jitter_s)
+        if not t_meas > det.jitter_s:
+            return
+        expected = budget(t_meas).spurious.delta_pcc
+        result = simulate_uncorrelated(rates, replace(det, measurement_time_s=t_meas), McConfig(seed=1, trials=1))
+        assert result.analytic_prediction == pytest.approx(expected, rel=1e-12)
+        checked[-1] = True
+
+    check()
+    # 45-68 % checked in 15 runs: the rest overflow the count or leave no trial
+    # of at most ~1e4 arrivals longer than one jitter window.
+    assert sum(checked) >= 0.3 * len(checked)
 
 
 # sha256 of the stdout of each report on the shipped configs; the text
@@ -636,17 +682,27 @@ def test_sweep_rows_equal_the_row_by_row_renderer(config, from_rad, to_rad, orde
     assert sweep_rows(cfg, from_rad, to_rad, 3001) == reference_sweep(cfg, from_rad, to_rad, 3001)
 
 
-@settings(max_examples=100, deadline=None, database=None)
-@given(valid_config_dicts(), st.floats(-20.0, 0.0), st.floats(0.0, 20.0), st.integers(2, 400))
-def test_sweep_rows_equal_the_row_by_row_renderer_on_edge_configs(data, from_rad, to_rad, points):
+def test_sweep_rows_equal_the_row_by_row_renderer_on_edge_configs():
     # Ranges across 0; orders up to 64 and accidental counts up to the
     # saturated one give many undefined runs.
-    cfg = config_from_dict(data)
-    try:
-        text = sweep_rows(cfg, from_rad, to_rad, points)
-    except ValueError:
-        return
-    assert text == reference_sweep(cfg, from_rad, to_rad, points)
+    rendered = []
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(computable_config_dicts(), st.floats(-20.0, 0.0), st.floats(0.0, 20.0, exclude_min=True),
+           st.integers(2, 400))
+    def check(data, from_rad, to_rad, points):
+        cfg = config_from_dict(data)
+        try:
+            text = sweep_rows(cfg, from_rad, to_rad, points)
+        except ValueError:
+            rendered.append(False)
+            return
+        rendered.append(True)
+        assert text == reference_sweep(cfg, from_rad, to_rad, points)
+
+    check()
+    # 80-99 % rendered in 15 runs (7 % over valid_config_dicts).
+    assert sum(rendered) >= 0.6 * len(rendered)
 
 
 def test_aliased_sweep_equals_the_row_by_row_renderer(bench_dict):

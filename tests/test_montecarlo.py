@@ -108,7 +108,7 @@ def test_memory_guard_charges_what_a_streamed_trial_holds(monkeypatch, mode):
 def _sliding(fractions, t_meas, tau):
     """``_sliding_count`` on arrival fractions of the 2**-53 lattice, as the ticks of one chunk."""
     ticks = [(np.asarray(u, dtype=float) * 2.0**53).astype(np.int64) for u in fractions]
-    return montecarlo._sliding_count([ticks], t_meas, tau)
+    return montecarlo._sliding_count([ticks], t_meas, tau, TICKS)
 
 
 def _whole_record_binned_count(ticks, n_windows):
@@ -239,7 +239,7 @@ def test_chunked_binned_count_matches_whole_record(monkeypatch, dense):
         counts, ticks = _draw(seed, rates, t_meas)
         whole = [np.concatenate(per_detector) for per_detector in zip(*ticks)]
         exact = _whole_record_binned_count(whole, t_meas / tau)
-        assert montecarlo._binned_count(iter(ticks), t_meas / tau) == exact
+        assert montecarlo._binned_count(iter(ticks), t_meas / tau, TICKS // len(counts)) == exact
         found += exact
     assert found > 0.0
 
@@ -255,7 +255,7 @@ def test_chunked_sliding_count_matches_searchsorted_count(monkeypatch, dense):
         counts, ticks = _draw(seed, rates, t_meas)
         whole = [np.concatenate(per_detector) * 2.0**-53 for per_detector in zip(*ticks)]
         exact = montecarlo._searchsorted_count(whole, t_meas, tau)
-        assert montecarlo._sliding_count(iter(ticks), t_meas, tau) == exact
+        assert montecarlo._sliding_count(iter(ticks), t_meas, tau, TICKS // len(counts)) == exact
         found += exact
     assert found > 0.0
 
@@ -360,7 +360,8 @@ def test_binned_walk_keeps_pairs_at_the_rounding_edge(n_windows):
                 span = TICKS // chunks
                 per_chunk = [[t[(c * span <= t) & (t < (c + 1) * span)] for t in ticks] for c in range(chunks)]
                 assert _binned_count(iter(per_chunk), span, n_windows) == expected
-                assert montecarlo._binned_count(iter(per_chunk), n_windows) == expected, (u, first, second, chunks)
+                counted = montecarlo._binned_count(iter(per_chunk), n_windows, span)
+                assert counted == expected, (u, first, second, chunks)
 
 
 _T = 2**53  # ticks per record
@@ -389,7 +390,7 @@ def test_binned_count_at_chunk_edges(fractions, n_windows, chunks, expected):
     ticks = [(np.array(u, dtype=float) * 2.0**53).astype(np.int64) for u in fractions]
     per_chunk = [[t[(c * span <= t) & (t < (c + 1) * span)] for t in ticks] for c in range(chunks)]
     assert _whole_record_binned_count(ticks, n_windows) == expected
-    assert montecarlo._binned_count(iter(per_chunk), n_windows) == expected
+    assert montecarlo._binned_count(iter(per_chunk), n_windows, span) == expected
 
 
 # The survivor walk as it stood before the coarse-cell screen, kept verbatim as an
@@ -438,7 +439,7 @@ def _survivor_keys(chunks, width: float) -> tuple[np.ndarray, int, int]:
     return np.concatenate(parts + [last] * held), b, n
 
 
-def _screened(chunks, width, span=TICKS):
+def _screened(chunks, width, span):
     """The screened walk and the oracle on the same chunks: equal keys, b and N, returned."""
     chunks = list(chunks)
     keys, b, n = montecarlo._survivor_keys(iter(chunks), width, span)
@@ -456,8 +457,7 @@ def _cut(ticks, cuts):
 def test_screened_walk_matches_the_unscreened_walk(monkeypatch):
     # 2 to 6 detectors (one silent in some), 2**1 to 2**11 expected arrivals per chunk, so
     # many chunks are empty, and windows from 1e-16 of the record to twice it: sparse,
-    # dense and every arrival within reach.  Each draw is walked at its aligned span, at
-    # the default span and, at the default span, cut at random ticks.
+    # dense and every arrival within reach.  Each draw is walked at its aligned span.
     rng = np.random.default_rng(83)
     survivors = 0
     for case in range(160):
@@ -467,20 +467,16 @@ def test_screened_walk_matches_the_unscreened_walk(monkeypatch):
         width = 2.0 * 10.0 ** rng.uniform(-16.0, 0.0)
         counts, ticks = _draw(case, tuple(rates), 1.0)
         survivors += _screened(ticks, width, TICKS // len(counts)).size
-        _screened(ticks, width)
-        whole = [np.concatenate(per_detector) for per_detector in zip(*ticks)]
-        cuts = np.sort(rng.integers(0, TICKS, int(rng.integers(1, 40)), dtype=np.int64))
-        _screened(_cut(whole, cuts.tolist()), width)
     assert survivors > 0
 
 
 def _steps_cell(width):
-    """The walk's reach in ticks and its cell shift s at the default span."""
+    """The walk's reach in ticks and its cell shift s at one span for the record."""
     steps = math.ceil(min(width, 1.0) * TICKS) + 7
     return steps, max((steps - 1).bit_length(), 21)
 
 
-_ON_CELL = (2.0**30 - 7) / 2.0**53  # steps = 2**30, one cell of the default span
+_ON_CELL = (2.0**30 - 7) / 2.0**53  # steps = 2**30, one cell at one span for the record
 
 
 @pytest.mark.parametrize("gap, detectors, survive", [
@@ -500,7 +496,7 @@ def test_screen_keeps_pairs_at_the_cell_edge(gap, detectors, survive):
         ticks = [np.empty(0, dtype=np.int64) for _ in range(2)]
         for d, t in zip(detectors, (first, first + gap)):
             ticks[d] = np.append(ticks[d], np.int64(t))
-        keys = _screened([ticks], _ON_CELL)
+        keys = _screened([ticks], _ON_CELL, TICKS)
         assert keys.size == 2 * survive, (first, gap, detectors)
 
 
@@ -508,9 +504,9 @@ def test_screen_keeps_pairs_at_the_cell_edge(gap, detectors, survive):
 @pytest.mark.parametrize("chunks", [2, 4, 2**20])
 def test_screen_keeps_a_pair_across_a_screened_chunk_edge(chunks, gap, survive):
     # The first chunk holds two arrivals six cells apart, the later one just below the
-    # edge, so the screen skips it; its last key is still found, because its top cell
-    # lies within one of the next span.  The later arrival's label is not above the
-    # earlier one's, so a gap of steps ticks is within reach.
+    # edge, in its last cell: the edge-cell rule walks the chunk and keeps that key.  The
+    # later arrival's label is not above the earlier one's, so a gap of steps ticks is
+    # within reach.
     span = TICKS // chunks
     first = span - 1 - gap // 3
     ticks = [np.array([first + gap, first + gap + 3 * 2**31], dtype=np.int64),
@@ -534,7 +530,35 @@ def test_screen_counts_1024_detectors():
         per_chunk = _cut(ticks, [c * span for c in range(1, chunks)])
         keys = _screened(per_chunk, _ON_CELL, span)
         assert keys.size >= 8 and set((keys & 1023).tolist()) >= {0, 1023, 17, 900, 512, 513}
-        assert _screened(per_chunk, _ON_CELL).size == keys.size
+
+
+@pytest.mark.parametrize("detectors", [2, 1024])
+@pytest.mark.parametrize("chunks", [2, 4, 2**20])
+def test_edge_cells_keep_only_pairs_within_reach(chunks, detectors):
+    # A pair split across the first chunk edge, steps - 1 ticks apart, survives; lone
+    # arrivals in the first chunk's first cell and the second chunk's last cell, edge
+    # cells with no neighbour within reach, are dropped.  Later chunks are empty.
+    span, last = TICKS // chunks, detectors - 1
+    ticks = [np.empty(0, dtype=np.int64) for _ in range(detectors)]
+    ticks[0] = np.array([5, span + 2**29 - 1], dtype=np.int64)
+    ticks[last] = np.array([span - 2**29, 2 * span - 1], dtype=np.int64)
+    keys = _screened(_cut(ticks, [span, 2 * span][:min(chunks, 3) - 1]), _ON_CELL, span)
+    assert sorted((keys >> max(1, last.bit_length())).tolist()) == [span - 2**29, span + 2**29 - 1]
+
+
+@pytest.mark.parametrize("detectors", [2, 1024])
+def test_cell_wider_than_the_span_keeps_every_arrival(detectors):
+    # Width 0.5 over 4 chunks: a cell of 2**53 ticks covers each span, so every arrival
+    # lies in an edge cell.  One arrival per chunk leaves no two cells within 1 in any
+    # chunk, and consecutive arrivals, under two spans apart, are all within reach.
+    rng = np.random.default_rng(97)
+    span = TICKS // 4
+    ticks = [np.empty(0, dtype=np.int64) for _ in range(detectors)]
+    for c in range(4):
+        d = int(rng.integers(detectors))
+        ticks[d] = np.append(ticks[d], np.int64(c * span + int(rng.integers(span))))
+    keys = _screened(_cut(ticks, [span, 2 * span, 3 * span]), 0.5, span)
+    assert keys.size == 4
 
 
 @pytest.mark.parametrize("mode", list(WindowMode), ids=lambda m: m.value)
@@ -556,8 +580,8 @@ def test_trial_holds_one_chunk(mode):
                          ids=["156ps-18s", "1us-4s", "1ms-4s"])
 def test_trial_peak_stays_within_the_memory_guard(monkeypatch, mode, jitter_s, t_meas_s):
     # The guard charges 8 bytes per chunk count and BYTES_PER_EVENT per arrival held, a
-    # chunk's and the expected survivors'.  Sparse windows skip most chunks, so a trial
-    # holds a skipped chunk beside the next; at 1 ms every arrival survives.
+    # chunk's and the expected survivors'.  Sparse windows skip most chunks and at 1 ms
+    # every arrival survives; either way a trial holds one chunk beside its survivors.
     simulate_uncorrelated([1.0, 1.0], DetectionSpec(1e-6, 1.0, mode), McConfig(seed=1, trials=1))  # imports
     charged = []
     monkeypatch.setattr(montecarlo, "_require_memory", lambda nbytes, *args: charged.append(nbytes))

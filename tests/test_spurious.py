@@ -8,6 +8,7 @@ import pytest
 from qfog import (
     DetectionSpec,
     PhaseShiftSolution,
+    SourceSpec,
     SpuriousCount,
     WindowMode,
     bias_zone_scan,
@@ -175,6 +176,28 @@ def test_phase_shift_error_texts(args, message):
     with pytest.raises(ValueError) as raised:
         phase_shift_spurious(*args, COUNT)
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: phase_shift_spurious(PAIRS, 0.3, 2.5, COUNT), "order: must be an integer, got 2.5"),
+    (lambda: bias_zone_scan(PAIRS, 2.5, COUNT, SHOT), "order: must be an integer, got 2.5"),
+    (lambda: shot_noise(True, noon_pairs=1e6), "order: must be an integer, got True"),
+    (lambda: undefined_half_width(PAIRS, 0, COUNT), "order: must be >= 1, got 0"),
+    (lambda: phase_shift_cusp(PAIRS, 0, COUNT), "order: must be >= 1, got 0"),
+    (lambda: spurious_coincidences(1e3, 2.5, DET), "order: must be an integer, got 2.5"),
+    (lambda: type(SourceSpec(np.int64(3), 4000.0, 0.95).noon_order), int),
+    (lambda: type(phase_shift_spurious(PAIRS, 0.3, np.int64(2), COUNT).value_rad), float),
+], ids=["shift-fraction", "scan-fraction", "shot-noise-bool", "half-width-zero", "cusp-zero",
+        "accidentals-fraction", "source-numpy", "shift-numpy"])
+def test_every_order_passes_one_integer_check(call, expected):
+    # Fractional and bool orders are refused by name, an order of 0 before any division;
+    # NumPy integers are taken and become Python ints.
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == expected
+    else:
+        assert call() is expected
 
 
 @pytest.mark.parametrize("phi", [0.0, 1e-4, 0.3, math.pi / 4, math.pi / 2, 2.0, -7.5])
