@@ -8,13 +8,15 @@ see :mod:`qfog.config`.
 
 Exit codes: 0 success (undefined results are reported, flagged and still
 count as success), 2 config parse failure, 3 config validation failure,
-4 computation or output failure (including an allocation too large to make).
+4 computation or output failure (including an allocation too large to make
+and a standard output closed before the result is written).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -319,16 +321,15 @@ def sweep_rows(cfg: InstrumentConfig, from_rad: float, to_rad: float, points: in
     if points < 2:
         raise ValueError(f"points: need at least 2, got {points}")
     _require_memory(points * SWEEP_BYTES_PER_ROW, "points", f"{points} sweep rows")
-    _require_finite(from_rad, "--from")
-    _require_finite(to_rad, "--to")
-    if not to_rad > from_rad:
+    lo, hi = _require_finite(from_rad, "--from"), _require_finite(to_rad, "--to")
+    if not hi > lo:
         raise ValueError("sweep range: --from must be strictly below --to")
     order = cfg.source.noon_order
-    if not (math.isfinite(to_rad - from_rad) and math.isfinite(order * max(abs(from_rad), abs(to_rad)))):
+    if not (math.isfinite(hi - lo) and math.isfinite(order * max(abs(lo), abs(hi)))):
         raise ValueError(f"sweep range: --from {from_rad!r} and --to {to_rad!r} overflow: "
                          f"their span or N = {order} times their magnitude is not a finite number")
     b = assemble_budget(cfg)
-    grid = np.linspace(from_rad, to_rad, points)
+    grid = np.linspace(lo, hi, points)
     signed, defined = phase_shift_profile(b.effective_pairs, grid, b.noon_order, b.spurious)
     # Shot noise, its tenth and the cusp error are the same on every row.
     constants = f"{_e(b.shot_noise_rad)},{_e(0.1 * b.shot_noise_rad)},{_e(b.cusp_shift_rad)}"
@@ -482,7 +483,13 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    print(text)
+    try:
+        print(text, flush=True)
+    except OSError as exc:  # a closed pipe, say
+        print(f"output error: {exc}", file=sys.stderr)
+        # The interpreter flushes stdout again at exit; let that write go nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_COMPUTE
     return EXIT_OK
 
 

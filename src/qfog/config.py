@@ -48,11 +48,11 @@ class InstrumentConfig:
     rotation_rad_per_s: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite(self.base_coherence, "base_coherence")
-        _require(0.0 < self.base_coherence <= 1.0, "base_coherence",
-                 f"must lie in (0, 1], got {self.base_coherence}")
-        _require_finite(self.bias_phase_rad, "bias_phase_rad")
-        _require_finite(self.rotation_rad_per_s, "rotation_rad_per_s")
+        coherence = self.base_coherence
+        object.__setattr__(self, "base_coherence", _require_finite(coherence, "base_coherence"))
+        _require(0.0 < self.base_coherence <= 1.0, "base_coherence", f"must lie in (0, 1], got {coherence}")
+        for name in ("bias_phase_rad", "rotation_rad_per_s"):
+            object.__setattr__(self, name, _require_finite(getattr(self, name), name))
 
 
 TOP_LEVEL = "top level"

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import SPEED_OF_LIGHT_M_PER_S, _require, _require_finite, _store_floats
+from .model import SPEED_OF_LIGHT_M_PER_S, _require, _require_finite
 
 COHERENCE_EXPONENT_CONSTANT = 3.5
 
@@ -27,13 +27,11 @@ class SpectralSpec:
     linewidth_m: float
 
     def __post_init__(self) -> None:
-        _require_finite(self.center_wavelength_m, "center_wavelength_m")
-        _require(self.center_wavelength_m > 0.0, "center_wavelength_m", "must be > 0")
-        _require_finite(self.linewidth_m, "linewidth_m")
-        _require(self.linewidth_m > 0.0, "linewidth_m", "must be > 0")
+        for name in ("center_wavelength_m", "linewidth_m"):
+            object.__setattr__(self, name, _require_finite(getattr(self, name), name))
+            _require(getattr(self, name) > 0.0, name, "must be > 0")
         _require(self.linewidth_m < self.center_wavelength_m, "linewidth_m",
                  "linewidth must be smaller than the center wavelength")
-        _store_floats(self, "center_wavelength_m", "linewidth_m")
 
 
 @dataclass(frozen=True)
@@ -55,13 +53,10 @@ class DispersionSpec:
     pump_temp_stability_degc: float = 0.01
 
     def __post_init__(self) -> None:
-        names = ("chromatic_coeff_ps_per_km_nm", "pmd_coeff_ps_per_sqrt_km", "reciprocal_delay_s",
-                 "pump_drift_nm_per_degc", "pump_temp_stability_degc")
-        for name in names:
-            value = getattr(self, name)
-            _require_finite(value, name)
-            _require(value >= 0.0, name, "must be >= 0")
-        _store_floats(self, *names)
+        for name in ("chromatic_coeff_ps_per_km_nm", "pmd_coeff_ps_per_sqrt_km", "reciprocal_delay_s",
+                     "pump_drift_nm_per_degc", "pump_temp_stability_degc"):
+            object.__setattr__(self, name, _require_finite(getattr(self, name), name))
+            _require(getattr(self, name) >= 0.0, name, "must be >= 0")
 
 
 def coherence_time(spec: SpectralSpec) -> float:
@@ -75,8 +70,8 @@ def coherence_factor(delta_t_s: float, tau_s: float) -> float:
     ``exp(-3.5 * dt**2 / tau**2)``; equals 1 at zero delay and decreases
     monotonically with the delay magnitude.
     """
-    _require_finite(delta_t_s, "delta_t_s")
-    _require_finite(tau_s, "tau_s")
+    delta_t_s = _require_finite(delta_t_s, "delta_t_s")
+    tau_s = _require_finite(tau_s, "tau_s")
     _require(tau_s > 0.0, "tau_s", "must be > 0")
     return math.exp(-COHERENCE_EXPONENT_CONSTANT * (delta_t_s / tau_s) ** 2)
 
@@ -86,7 +81,7 @@ def chromatic_delay(disp: DispersionSpec, length_m: float, spec: SpectralSpec) -
 
     Grows linearly with length and linewidth: ``coeff * L_km * dlambda_nm``.
     """
-    _require_finite(length_m, "length_m")
+    length_m = _require_finite(length_m, "length_m")
     _require(length_m >= 0.0, "length_m", "must be >= 0")
     return (disp.chromatic_coeff_ps_per_km_nm * 1e-12
             * (length_m / 1000.0) * (spec.linewidth_m / 1e-9))
@@ -94,7 +89,7 @@ def chromatic_delay(disp: DispersionSpec, length_m: float, spec: SpectralSpec) -
 
 def pmd_delay(disp: DispersionSpec, length_m: float) -> float:
     """Polarization-mode-dispersion spread, ``coeff * sqrt(L_km)`` seconds."""
-    _require_finite(length_m, "length_m")
+    length_m = _require_finite(length_m, "length_m")
     _require(length_m >= 0.0, "length_m", "must be >= 0")
     return disp.pmd_coeff_ps_per_sqrt_km * 1e-12 * math.sqrt(length_m / 1000.0)
 
@@ -107,10 +102,10 @@ def pump_drift_phase_error(drift_nm_per_degc: float, stability_degc: float,
     ``drift * stability`` produces a relative phase error of that excursion
     over the center wavelength.  Returns ``(relative, absolute_rad)``.
     """
-    _require_finite(drift_nm_per_degc, "drift_nm_per_degc")
+    drift_nm_per_degc = _require_finite(drift_nm_per_degc, "drift_nm_per_degc")
     _require(drift_nm_per_degc >= 0.0, "drift_nm_per_degc", "must be >= 0")
-    _require_finite(stability_degc, "stability_degc")
+    stability_degc = _require_finite(stability_degc, "stability_degc")
     _require(stability_degc >= 0.0, "stability_degc", "must be >= 0")
-    _require_finite(sagnac_phase_rad, "sagnac_phase_rad")
+    sagnac_phase_rad = _require_finite(sagnac_phase_rad, "sagnac_phase_rad")
     relative = (drift_nm_per_degc * 1e-9 * stability_degc) / spec.center_wavelength_m
     return relative, relative * sagnac_phase_rad

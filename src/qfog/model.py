@@ -6,9 +6,10 @@ carry their unit as a suffix.  Photon populations and expected counts are
 real-valued everywhere; rounding to integer counts happens only inside the
 Monte Carlo sampler.
 
-Every type validates its invariants at construction and raises
-``ValueError`` naming the offending field.  All types are immutable and
-safe to share between threads or processes.
+Every type validates its invariants at construction, raises
+``ValueError`` naming the offending field and stores each real field as a
+Python float.  All types are immutable and safe to share between threads
+or processes.
 """
 
 from __future__ import annotations
@@ -43,15 +44,6 @@ def _require_memory(nbytes: float, field: str, what: str) -> None:
              f"the {physical / 2**30:.3g} GiB of physical memory")
 
 
-def _store_floats(obj, *fields: str) -> None:
-    """Store validated fields of a frozen dataclass as Python floats.
-
-    A NumPy float32 would keep its single precision through every formula.
-    """
-    for field in fields:
-        object.__setattr__(obj, field, float(getattr(obj, field)))
-
-
 def _integer(value, field: str, least: int | None = None) -> int:
     """``value`` as a Python int: a Python or NumPy integer, not a bool, and at least ``least``."""
     try:
@@ -70,9 +62,11 @@ def _order(value, least: int = 1) -> int:
     return order
 
 
-def _require_finite(value: float, field: str) -> None:
+def _require_finite(value, field: str) -> float:
+    """A finite real ``value`` as a Python float: a NumPy float32 would keep its single precision."""
     if not (_is_real(value) and math.isfinite(value)):
         raise ValueError(f"{field}: must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _is_real(value) -> bool:
@@ -107,13 +101,13 @@ class GyroGeometry:
     wavelength_m: float
 
     def __post_init__(self) -> None:
+        wavelength = self.wavelength_m
         for name in ("fiber_length_m", "coil_radius_m", "wavelength_m"):
             value = getattr(self, name)
-            _require_finite(value, name)
-            _require(value > 0.0, name, f"must be > 0, got {value}")
+            object.__setattr__(self, name, _require_finite(value, name))
+            _require(getattr(self, name) > 0.0, name, f"must be > 0, got {value}")
         _require(100e-9 < self.wavelength_m < 10e-6, "wavelength_m",
-                 f"outside the optical sanity band (100 nm, 10 um): {self.wavelength_m}")
-        _store_floats(self, "fiber_length_m", "coil_radius_m", "wavelength_m")
+                 f"outside the optical sanity band (100 nm, 10 um): {wavelength}")
 
 
 @dataclass(frozen=True)
@@ -134,14 +128,14 @@ class SourceSpec:
         object.__setattr__(self, "noon_order", _integer(self.noon_order, "noon_order"))
         _require(self.noon_order >= 2, "noon_order",
                  f"entangled order must be >= 2, got {self.noon_order}")
-        _require_finite(self.pair_rate_hz, "pair_rate_hz")
+        object.__setattr__(self, "pair_rate_hz", _require_finite(self.pair_rate_hz, "pair_rate_hz"))
         _require(self.pair_rate_hz >= 0.0, "pair_rate_hz", "must be >= 0")
-        _require_finite(self.initial_noon_fraction, "initial_noon_fraction")
+        fraction = self.initial_noon_fraction
+        object.__setattr__(self, "initial_noon_fraction", _require_finite(fraction, "initial_noon_fraction"))
         _require(0.0 < self.initial_noon_fraction <= 1.0, "initial_noon_fraction",
-                 f"must lie in (0, 1], got {self.initial_noon_fraction}")
-        _require_finite(self.dark_rate_hz, "dark_rate_hz")
+                 f"must lie in (0, 1], got {fraction}")
+        object.__setattr__(self, "dark_rate_hz", _require_finite(self.dark_rate_hz, "dark_rate_hz"))
         _require(self.dark_rate_hz >= 0.0, "dark_rate_hz", "must be >= 0")
-        _store_floats(self, "pair_rate_hz", "initial_noon_fraction", "dark_rate_hz")
 
 
 @dataclass(frozen=True)
@@ -152,11 +146,9 @@ class OpticalPath:
     lumped_loss_db: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite(self.fiber_loss_db_per_km, "fiber_loss_db_per_km")
-        _require(self.fiber_loss_db_per_km >= 0.0, "fiber_loss_db_per_km", "must be >= 0")
-        _require_finite(self.lumped_loss_db, "lumped_loss_db")
-        _require(self.lumped_loss_db >= 0.0, "lumped_loss_db", "must be >= 0")
-        _store_floats(self, "fiber_loss_db_per_km", "lumped_loss_db")
+        for name in ("fiber_loss_db_per_km", "lumped_loss_db"):
+            object.__setattr__(self, name, _require_finite(getattr(self, name), name))
+            _require(getattr(self, name) >= 0.0, name, "must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -168,15 +160,13 @@ class DetectionSpec:
     window_mode: WindowMode = WindowMode.BINNED
 
     def __post_init__(self) -> None:
-        _require_finite(self.jitter_s, "jitter_s")
-        _require(self.jitter_s > 0.0, "jitter_s", "must be > 0")
-        _require_finite(self.measurement_time_s, "measurement_time_s")
-        _require(self.measurement_time_s > 0.0, "measurement_time_s", "must be > 0")
+        for name in ("jitter_s", "measurement_time_s"):
+            object.__setattr__(self, name, _require_finite(getattr(self, name), name))
+            _require(getattr(self, name) > 0.0, name, "must be > 0")
         _require(self.jitter_s < self.measurement_time_s, "jitter_s",
                  "timing jitter must be smaller than the measurement time")
         _require(isinstance(self.window_mode, WindowMode), "window_mode",
                  f"must be a WindowMode, got {self.window_mode!r}")
-        _store_floats(self, "jitter_s", "measurement_time_s")
 
 
 @dataclass(frozen=True)
@@ -191,9 +181,8 @@ class PhasePoint:
     bias_phase_rad: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite(self.sagnac_phase_rad, "sagnac_phase_rad")
-        _require_finite(self.bias_phase_rad, "bias_phase_rad")
-        _store_floats(self, "sagnac_phase_rad", "bias_phase_rad")
+        for name in ("sagnac_phase_rad", "bias_phase_rad"):
+            object.__setattr__(self, name, _require_finite(getattr(self, name), name))
 
     @property
     def total_rad(self) -> float:

@@ -356,11 +356,12 @@ def simulate_uncorrelated(singles_rate_per_detector, det: DetectionSpec, mc: McC
     the draw no longer resolves single windows; shorten the measurement
     time instead.
     """
-    rates = tuple(float(r) for r in singles_rate_per_detector)
+    rates = list(singles_rate_per_detector)
     _require(len(rates) >= 2, "singles_rate_per_detector", "need at least two detectors")
     for i, r in enumerate(rates):
-        _require_finite(r, f"singles_rate_per_detector[{i}]")
-        _require(r >= 0.0, f"singles_rate_per_detector[{i}]", "must be >= 0")
+        rates[i] = _require_finite(r, f"singles_rate_per_detector[{i}]")
+        _require(rates[i] >= 0.0, f"singles_rate_per_detector[{i}]", "must be >= 0")
+    rates = tuple(rates)
     t_meas, tau = det.measurement_time_s, det.jitter_s
     if mc.window_mode not in (None, det.window_mode):
         raise ValueError(f"window_mode: McConfig {mc.window_mode.value!r} != spec {det.window_mode.value!r}")
@@ -407,12 +408,12 @@ def simulate_experiment(pairs: float, phase: PhasePoint, order: int, coherence: 
     Poissons (see the determinism contract).  ``workers`` is ignored, kept
     only because the benchmark's ``qbench/workloads.py`` still passes it.
     """
-    _require_finite(pairs, "pairs")
+    pairs = _require_finite(pairs, "pairs")
     _require(pairs > 0.0, "pairs", "must be > 0")
     m = int(round(pairs))
     _require(m >= 1, "pairs", "must round to at least one pair")
     order = _order(order)
-    _require_finite(coherence, "coherence")
+    coherence = _require_finite(coherence, "coherence")
     _require(0.0 < coherence <= 1.0, "coherence",
              "must lie in (0, 1] (the fringe inversion divides by it)")
     _require_memory(mc.trials * BYTES_PER_TRIAL, "trials", f"{mc.trials} experiment trials")

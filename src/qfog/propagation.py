@@ -30,10 +30,9 @@ class PhotonPopulations:
     singles: float
 
     def __post_init__(self) -> None:
-        _require_finite(self.noon_pairs, "noon_pairs")
-        _require(self.noon_pairs >= 0.0, "noon_pairs", "must be >= 0")
-        _require_finite(self.singles, "singles")
-        _require(self.singles >= 0.0, "singles", "must be >= 0")
+        for name in ("noon_pairs", "singles"):
+            object.__setattr__(self, name, _require_finite(getattr(self, name), name))
+            _require(getattr(self, name) >= 0.0, name, "must be >= 0")
 
 
 def fiber_transmission(path: OpticalPath, length_m: float) -> float:
@@ -41,7 +40,7 @@ def fiber_transmission(path: OpticalPath, length_m: float) -> float:
 
     ``T = 10**(-(alpha*L_km + lumped_dB)/10)``, in (0, 1].
     """
-    _require_finite(length_m, "length_m")
+    length_m = _require_finite(length_m, "length_m")
     _require(length_m >= 0.0, "length_m", "must be >= 0")
     total_db = path.fiber_loss_db_per_km * (length_m / 1000.0) + path.lumped_loss_db
     return 10.0 ** (-total_db / 10.0)
@@ -54,9 +53,8 @@ def propagate_populations(initial: PhotonPopulations, transmission: float) -> Ph
     pairs that lost exactly one photon.  Composes exactly:
     propagating through T1 then T2 equals propagating through T1*T2.
     """
-    _require_finite(transmission, "transmission")
-    _require(0.0 < transmission <= 1.0, "transmission", f"must lie in (0, 1], got {transmission}")
-    t = transmission
+    t = _require_finite(transmission, "transmission")
+    _require(0.0 < t <= 1.0, "transmission", f"must lie in (0, 1], got {transmission}")
     pairs = initial.noon_pairs * t * t
     singles = t * (initial.singles + initial.noon_pairs * (1.0 - t))
     return PhotonPopulations(pairs, singles)
@@ -74,11 +72,11 @@ def singles_rate_from_ratio(noon_rate_hz: float, ratio: float) -> float:
 
     Inverts the fraction definition: ``noon_rate * (1 - R) / R``.
     """
-    _require_finite(noon_rate_hz, "noon_rate_hz")
+    noon_rate_hz = _require_finite(noon_rate_hz, "noon_rate_hz")
     _require(noon_rate_hz >= 0.0, "noon_rate_hz", "must be >= 0")
-    _require_finite(ratio, "ratio")
-    _require(0.0 < ratio <= 1.0, "ratio", f"must lie in (0, 1], got {ratio}")
-    return noon_rate_hz * (1.0 - ratio) / ratio
+    r = _require_finite(ratio, "ratio")
+    _require(0.0 < r <= 1.0, "ratio", f"must lie in (0, 1], got {ratio}")
+    return noon_rate_hz * (1.0 - r) / r
 
 
 def propagate_along_fiber(initial: PhotonPopulations, path: OpticalPath,
@@ -92,7 +90,7 @@ def propagate_along_fiber(initial: PhotonPopulations, path: OpticalPath,
     reporting helper; the physics is closed-form, not integrated.
     """
     _require(samples >= 2, "samples", f"need at least 2 samples, got {samples}")
-    _require_finite(length_m, "length_m")
+    length_m = _require_finite(length_m, "length_m")
     _require(length_m >= 0.0, "length_m", "must be >= 0")
     fiber_only = OpticalPath(path.fiber_loss_db_per_km)
     profile = []

@@ -21,8 +21,8 @@ def sagnac_phase(omega_rad_per_s: float, geom: GyroGeometry) -> float:
     linear in fiber length and coil radius.  Negative rates (opposite spin
     direction) are allowed and flip the sign.
     """
-    _require_finite(omega_rad_per_s, "omega_rad_per_s")
-    return (4.0 * math.pi * float(omega_rad_per_s) * geom.fiber_length_m * geom.coil_radius_m
+    omega = _require_finite(omega_rad_per_s, "omega_rad_per_s")
+    return (4.0 * math.pi * omega * geom.fiber_length_m * geom.coil_radius_m
             / (geom.wavelength_m * SPEED_OF_LIGHT_M_PER_S))
 
 
@@ -35,12 +35,12 @@ def coincidence_probability(pairs: float, phase: PhasePoint, order: int,
     coherence factor ``C`` in [0, 1] scales the fringe visibility without
     moving its extrema.  Result is bounded by [0, pairs].
     """
-    _require_finite(pairs, "pairs")
+    pairs = _require_finite(pairs, "pairs")
     _require(pairs >= 0.0, "pairs", "must be >= 0")
-    _require_finite(coherence, "coherence")
+    coherence = _require_finite(coherence, "coherence")
     _require(0.0 <= coherence <= 1.0, "coherence", "must lie in [0, 1]")
     order = _order(order)
-    return 0.5 * float(pairs) * (1.0 + float(coherence) * math.cos(order * phase.total_rad))
+    return 0.5 * pairs * (1.0 + coherence * math.cos(order * phase.total_rad))
 
 
 def shot_noise(order: int, total_photons: float | None = None, *,
@@ -55,10 +55,10 @@ def shot_noise(order: int, total_photons: float | None = None, *,
     order = _order(order)
     if (total_photons is None) == (noon_pairs is None):
         raise ValueError("supply exactly one of total_photons or noon_pairs")
-    m = total_photons if total_photons is not None else order * noon_pairs
-    _require_finite(m, "total_photons")
+    if noon_pairs is not None:
+        total_photons = order * _require_finite(noon_pairs, "noon_pairs")
+    m = _require_finite(total_photons, "total_photons")
     _require(m > 0.0, "total_photons", "must be > 0 (phase uncertainty is undefined without photons)")
-    m = float(total_photons) if total_photons is not None else order * float(noon_pairs)
     return 1.0 / math.sqrt(order * m)
 
 

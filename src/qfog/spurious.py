@@ -21,7 +21,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .model import DetectionSpec, WindowMode, _order, _require, _require_finite, _require_memory, _store_floats
+from .model import DetectionSpec, WindowMode, _order, _require, _require_finite, _require_memory
 from .sagnac import shot_noise
 
 # Residual of |dphi| - threshold, in rad, at which bisection accepts a crossing.
@@ -48,11 +48,9 @@ class SpuriousCount:
     rate_hz: float
 
     def __post_init__(self) -> None:
-        _require_finite(self.delta_pcc, "delta_pcc")
-        _require(self.delta_pcc >= 0.0, "delta_pcc", "must be >= 0")
-        _require_finite(self.rate_hz, "rate_hz")
-        _require(self.rate_hz >= 0.0, "rate_hz", "must be >= 0")
-        _store_floats(self, "delta_pcc", "rate_hz")
+        for name in ("delta_pcc", "rate_hz"):
+            object.__setattr__(self, name, _require_finite(getattr(self, name), name))
+            _require(getattr(self, name) >= 0.0, name, "must be >= 0")
 
     @classmethod
     def from_count(cls, delta_pcc: float, measurement_time_s: float) -> "SpuriousCount":
@@ -120,12 +118,12 @@ def spurious_coincidences(singles_total: float, order: int, det: DetectionSpec,
         detectors and no dark counts this is ``f**2 * jitter / 4 * t_meas``
         in terms of the total singles rate f.
     """
-    _require_finite(singles_total, "singles_total")
+    singles_total = _require_finite(singles_total, "singles_total")
     _require(singles_total >= 0.0, "singles_total", "must be >= 0")
     order = _order(order, 2)
-    _require_finite(dark_rate_hz, "dark_rate_hz")
+    dark_rate_hz = _require_finite(dark_rate_hz, "dark_rate_hz")
     _require(dark_rate_hz >= 0.0, "dark_rate_hz", "must be >= 0")
-    per_detector = float(singles_total) / order + float(dark_rate_hz) * det.measurement_time_s
+    per_detector = singles_total / order + dark_rate_hz * det.measurement_time_s
     return spurious_coincidences_per_detector([per_detector] * order, det)
 
 
@@ -136,13 +134,11 @@ def spurious_coincidences_per_detector(counts, det: DetectionSpec) -> SpuriousCo
     large N stays in floating-point range wherever the count itself does.
     """
     _require(len(counts) >= 2, "counts", "need at least two detectors")
-    for i, m in enumerate(counts):
-        _require_finite(m, f"counts[{i}]")
-        _require(m >= 0.0, f"counts[{i}]", "must be >= 0")
     ratio = det.jitter_s / det.measurement_time_s
-    count = float(counts[0])
-    for m in counts[1:]:
-        count *= float(m) * ratio
+    for i, m in enumerate(counts):
+        m = _require_finite(m, f"counts[{i}]")
+        _require(m >= 0.0, f"counts[{i}]", "must be >= 0")
+        count = m if i == 0 else count * (m * ratio)
     return SpuriousCount.from_count(count, det.measurement_time_s)
 
 
@@ -199,11 +195,10 @@ def phase_shift_spurious(pairs: float, phase_total_rad: float, order: int,
     """
     if not (pairs.__class__ is float and phase_total_rad.__class__ is float and 0.0 < pairs < math.inf
             and -math.inf < phase_total_rad < math.inf and order.__class__ is int and order >= 1):
-        _require_finite(pairs, "pairs")
+        pairs = _require_finite(pairs, "pairs")
         _require(pairs > 0.0, "pairs", "must be > 0")
-        _require_finite(phase_total_rad, "phase_total_rad")
+        phase_total_rad = _require_finite(phase_total_rad, "phase_total_rad")
         order = _order(order)
-        pairs, phase_total_rad = float(pairs), float(phase_total_rad)
     scaled = order * phase_total_rad
     acos_arg = 2.0 * count.delta_pcc / pairs + math.cos(scaled)
     if acos_arg > 1.0:
@@ -222,9 +217,9 @@ def phase_shift_cusp(pairs: float, order: int, count: SpuriousCount) -> float:
     order) the half-width of the undefined interval around a
     coincidence-maximum cusp.
     """
-    _require_finite(pairs, "pairs")
+    pairs = _require_finite(pairs, "pairs")
     _require(pairs > 0.0, "pairs", "must be > 0")
-    return 2.0 / _order(order) * math.sqrt(count.delta_pcc / float(pairs))
+    return 2.0 / _order(order) * math.sqrt(count.delta_pcc / pairs)
 
 
 def undefined_half_width(pairs: float, order: int, count: SpuriousCount) -> float:
@@ -236,9 +231,10 @@ def undefined_half_width(pairs: float, order: int, count: SpuriousCount) -> floa
     accidental count reaches the pair count (no bias angle can absorb it
     anywhere).
     """
+    pairs = _require_finite(pairs, "pairs")
     _require(pairs > 0.0, "pairs", "must be > 0")
     order = _order(order)
-    fraction = count.delta_pcc / float(pairs)
+    fraction = count.delta_pcc / pairs
     if fraction >= 1.0:
         return math.pi / order
     return 2.0 * math.asin(math.sqrt(fraction)) / order
@@ -254,10 +250,11 @@ def phase_shift_profile(pairs: float, phase_total_rad, order: int,
     NumPy over the whole array at once.
     """
     import numpy as np
+    pairs = _require_finite(pairs, "pairs")
     _require(pairs > 0.0, "pairs", "must be > 0")
     phases = np.asarray(phase_total_rad, dtype=float)
     scaled = _order(order) * phases
-    acos_arg = 2.0 * count.delta_pcc / float(pairs) + np.cos(scaled)
+    acos_arg = 2.0 * count.delta_pcc / pairs + np.cos(scaled)
     defined = acos_arg <= 1.0
     theta = np.arccos(np.clip(acos_arg, -1.0, 1.0))
     shift, _ = _minimal_branch(theta, scaled)
@@ -374,15 +371,13 @@ def bias_zone_scan(pairs: float, order: int, count: SpuriousCount,
     order = _order(order)
     lo, hi = phase_range
     _require(hi > lo, "phase_range", "must be an increasing (lo, hi) pair")
-    _require_finite(lo, "phase_range")
-    _require_finite(hi, "phase_range")
-    _require_finite(shot_noise_rad, "shot_noise_rad")
+    lo, hi = _require_finite(lo, "phase_range"), _require_finite(hi, "phase_range")
+    shot_noise_rad = _require_finite(shot_noise_rad, "shot_noise_rad")
     _require(shot_noise_rad > 0.0, "shot_noise_rad", "must be > 0")
     if safe_threshold_rad is None:
         safe_threshold_rad = shot_noise_rad
+    safe_threshold_rad = _require_finite(safe_threshold_rad, "safe_threshold_rad")
     _require(safe_threshold_rad > 0.0, "safe_threshold_rad", "must be > 0")
-    lo, hi = float(lo), float(hi)
-    shot_noise_rad, safe_threshold_rad = float(shot_noise_rad), float(safe_threshold_rad)
 
     cell = math.pi / order
     cells = (hi - lo) / cell
@@ -392,9 +387,9 @@ def bias_zone_scan(pairs: float, order: int, count: SpuriousCount,
                for k in range(math.ceil((lo - 0.5 * cell) / cell - 1e-12),
                               math.floor((hi - 0.5 * cell) / cell + 1e-12) + 1)]
 
+    pairs = _require_finite(pairs, "pairs")
     # Undefined cores at the coincidence maxima; saturated (w = pi/N) they tile the range.
     width = undefined_half_width(pairs, order, count)
-    pairs = float(pairs)
     clipped = [(max(2.0 * cell * k - width, lo), min(2.0 * cell * k + width, hi))
                for k in range(math.floor(lo / (2.0 * cell)), math.ceil(hi / (2.0 * cell)) + 1)]
     undefined = _merge_intervals((a, b) for a, b in clipped if a < b)
@@ -442,13 +437,13 @@ def max_singles_flux(pairs_rate_hz: float, order: int, det: DetectionSpec) -> fl
     accidental-count error under the quantum noise at those bias points.
     Grows as the jitter shrinks.  The count is that of ``det``'s window mode.
     """
-    _require_finite(pairs_rate_hz, "pairs_rate_hz")
+    pairs_rate_hz = _require_finite(pairs_rate_hz, "pairs_rate_hz")
     _require(pairs_rate_hz >= 0.0, "pairs_rate_hz", "must be >= 0")
     order = _order(order, 2)
     if pairs_rate_hz == 0.0:
         return 0.0
     t = det.measurement_time_s
-    pairs = float(pairs_rate_hz) * t
+    pairs = pairs_rate_hz * t
     target_shift = shot_noise(order, noon_pairs=pairs)
     # Exact inversion at quadrature, as a binned product; saturates at the largest reachable shift.
     binned = 0.5 * pairs * math.sin(min(order * target_shift, 0.5 * math.pi)) / _window_factor(order, det)

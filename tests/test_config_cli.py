@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import qfog
 from qfog import bias_zone_scan, phase_shift_profile
 from qfog import cli
-from qfog.cli import SWEEP_BYTES_PER_ROW, SWEEP_COLUMNS, _sweep_text, assemble_budget, main, sweep_rows
+from qfog.cli import SWEEP_BYTES_PER_ROW, SWEEP_COLUMNS, _sweep_text, assemble_budget, format_budget, main, sweep_rows
 from qfog.config import (
     ConfigParseError,
     ConfigValidationError,
@@ -223,6 +223,19 @@ def test_cli_exit_codes(tmp_path, bench_dict, capsys):
     assert main(["sweep", "--config", str(BENCH_CONFIG), "--from", "0.0",
                  "--to", "1.0", "--points", str(10**15), "--out", str(out)]) == 4
     assert "points" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_4_with_one_stderr_line():
+    # The pipe's read end is closed before the command starts, so its first write fails.
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qfog.cli", "budget", "--config", str(BENCH_CONFIG)],
+                              env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (4, "output error: [Errno 32] Broken pipe\n")
 
 
 SWEEP_ARGS = ["--from", "0.0", "--to", "1.0", "--points", "5"]
@@ -816,3 +829,10 @@ def test_report_text_is_pinned(config, command, capsys):
     assert main([name, "--config", str(path), *options]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGESTS[config, command]
+
+
+def test_float32_base_coherence_gives_the_float64_budget():
+    # A float32 coherence once kept its single precision through six budget rows.
+    cfg = load_config(BENCH_CONFIG)
+    single = format_budget(assemble_budget(replace(cfg, base_coherence=np.float32(0.98))))
+    assert single == format_budget(assemble_budget(replace(cfg, base_coherence=float(np.float32(0.98)))))

@@ -97,3 +97,22 @@ def test_reduced_coherence_keeps_fringe_extrema():
     assert faded.max() < full.max()
     assert np.argmax(full) == np.argmax(faded)
     assert np.argmin(full) == np.argmin(faded)
+
+
+# NumPy 2 keeps a float32 operand's single precision against Python floats,
+# so each entry point converts the scalars it validated.
+FLOAT32_CALLS = {
+    "coherence_factor": (lambda dt, tau: (coherence_factor(dt, tau),), (3.3e-12, 8.1e-12)),
+    "chromatic_delay": (lambda z: (chromatic_delay(DispersionSpec(), z, SPECTRUM),), (2013.7,)),
+    "pmd_delay": (lambda z: (pmd_delay(DispersionSpec(), z),), (2013.7,)),
+    "pump_drift_phase_error": (lambda d, s, phi: pump_drift_phase_error(d, s, SPECTRUM, phi), (0.2, 0.013, 1.3e-4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT32_CALLS))
+def test_float32_inputs_give_the_float64_results_as_python_floats(name):
+    call, values = FLOAT32_CALLS[name]
+    single = [np.float32(v) for v in values]
+    got, expected = call(*single), call(*map(float, single))
+    assert got == expected
+    assert all(type(x) is float for x in got)

@@ -1,11 +1,21 @@
 import dataclasses
+import importlib
+import pkgutil
+import typing
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qfog import (DetectionSpec, DispersionSpec, GyroGeometry, OpticalPath, PhasePoint, SourceSpec, SpectralSpec,
-                  WindowMode, sagnac_phase)
+import qfog
+from qfog import (DetectionSpec, DispersionSpec, GyroGeometry, OpticalPath, PhasePoint, PhotonPopulations, SourceSpec,
+                  SpectralSpec, SpuriousCount, WindowMode, bias_zone_scan, sagnac_phase)
+from qfog.cli import NoiseBudget, assemble_budget
+from qfog.config import InstrumentConfig, load_config
 from qfog.model import _require_finite
+from qfog.montecarlo import McConfig, McResult, PhaseEstimateResult, simulate_experiment, simulate_uncorrelated
+from qfog.spurious import BiasZoneReport
 
 
 def test_valid_types_construct():
@@ -97,26 +107,63 @@ def test_require_finite_accepts_numbers(value):
     _require_finite(value, "f")
 
 
-_FLOAT_FIELDS = [
-    (GyroGeometry, (2000.0, 0.1, 1.55e-6)),
-    (SourceSpec, (2, 4000.0, 0.95, 3.0)),
-    (OpticalPath, (0.35, 9.3)),
-    (DetectionSpec, (156e-12, 1800.0)),
-    (PhasePoint, (1.0e-3, 0.5)),
-    (SpectralSpec, (1550e-9, 1e-9)),
-    (DispersionSpec, (0.01, 0.1, 1e-15, 0.2, 0.01)),
-]
+BENCH = load_config(Path(__file__).resolve().parents[1] / "configs" / "silvestri2024.json")
+COUNT = SpuriousCount(101.3, 0.0563)
+
+# One sample of every dataclass in qfog with a float field, built from its real
+# inputs passed through the converter ``x``.
+_FLOAT_SAMPLES = {
+    GyroGeometry: lambda x: GyroGeometry(x(2000.0), x(0.1), x(1.55e-6)),
+    SourceSpec: lambda x: SourceSpec(2, x(4000.0), x(0.95), x(3.0)),
+    OpticalPath: lambda x: OpticalPath(x(0.35), x(9.3)),
+    DetectionSpec: lambda x: DetectionSpec(x(156e-12), x(1800.0)),
+    PhasePoint: lambda x: PhasePoint(x(1.0e-3), x(0.5)),
+    SpectralSpec: lambda x: SpectralSpec(x(1550e-9), x(1e-9)),
+    DispersionSpec: lambda x: DispersionSpec(x(0.01), x(0.1), x(1e-15), x(0.2), x(0.01)),
+    PhotonPopulations: lambda x: PhotonPopulations(x(0.95), x(0.05)),
+    SpuriousCount: lambda x: SpuriousCount(x(101.3), x(0.0563)),
+    InstrumentConfig: lambda x: replace(BENCH, base_coherence=x(0.98), bias_phase_rad=x(0.3),
+                                        rotation_rad_per_s=x(1e-4)),
+    NoiseBudget: lambda x: assemble_budget(replace(BENCH, base_coherence=x(0.98), bias_phase_rad=x(0.3))),
+    BiasZoneReport: lambda x: bias_zone_scan(x(7.2e6), 2, COUNT, x(3.7e-4), (x(0.1), x(3.0)), x(3.7e-5)),
+    McResult: lambda x: simulate_uncorrelated([x(1.9e4), x(1.9e4)], DetectionSpec(x(156e-12), x(2.0)),
+                                              McConfig(1, 3)),
+    PhaseEstimateResult: lambda x: simulate_experiment(x(7.2e6), PhasePoint(x(0.3)), 2, x(0.9), COUNT,
+                                                       McConfig(1, 50)),
+}
 
 
-@pytest.mark.parametrize("cls, values", _FLOAT_FIELDS, ids=[cls.__name__ for cls, _ in _FLOAT_FIELDS])
-def test_value_types_store_python_floats(cls, values):
+def _float_dataclasses() -> set:
+    """Every dataclass defined in qfog with a field hinted ``float``."""
+    found = set()
+    for module in pkgutil.iter_modules(qfog.__path__, "qfog."):
+        for cls in vars(importlib.import_module(module.name)).values():
+            if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == module.name:
+                hints = typing.get_type_hints(cls)
+                if any(hints[field.name] is float for field in dataclasses.fields(cls)):
+                    found.add(cls)
+    return found
+
+
+def test_float_samples_name_every_dataclass_with_a_float_field():
+    # A new value or result type fails here until it has a sample below.
+    assert _float_dataclasses() == set(_FLOAT_SAMPLES)
+
+
+@pytest.mark.parametrize("cls", list(_FLOAT_SAMPLES), ids=[cls.__name__ for cls in _FLOAT_SAMPLES])
+def test_value_types_store_python_floats(cls):
     # NumPy 2 keeps a float32 field's single precision against Python floats, so every
-    # validated float field is stored as the float of its value; noon_order stays an int.
-    spec = cls(*(v if isinstance(v, int) else np.float32(v) for v in values))
-    for field, value in zip(dataclasses.fields(cls), values):
-        stored = getattr(spec, field.name)
-        assert type(stored) is type(value), field.name
-        assert stored == float(np.float32(value)) if type(value) is float else stored == value
+    # float field holds the float of its value; int fields such as noon_order stay ints.
+    single = _FLOAT_SAMPLES[cls](np.float32)
+    double = _FLOAT_SAMPLES[cls](lambda v: float(np.float32(v)))
+    assert type(single) is cls
+    hints = typing.get_type_hints(cls)
+    for field in dataclasses.fields(cls):
+        kind = hints[field.name]
+        if kind is float or kind is int:
+            stored = getattr(single, field.name)
+            assert type(stored) is kind, field.name
+            assert stored == getattr(double, field.name), field.name
 
 
 def test_float32_geometry_gives_a_float_phase():

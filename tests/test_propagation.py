@@ -114,3 +114,22 @@ def test_profile_long_length_ratio_tracks_transmission():
 def test_profile_needs_two_samples():
     with pytest.raises(ValueError, match="samples"):
         propagate_along_fiber(PhotonPopulations(1.0, 0.0), OpticalPath(0.2), 100.0, 1)
+
+
+# NumPy 2 keeps a float32 operand's single precision against Python floats,
+# so each entry point converts the scalars it validated.
+FLOAT32_CALLS = {
+    "fiber_transmission": (lambda z: (fiber_transmission(OpticalPath(0.35, 9.3), z),), (2013.7,)),
+    "propagate_populations": (lambda p, s, t: (lambda out: (out.noon_pairs, out.singles))(
+        propagate_populations(PhotonPopulations(p, s), t)), (0.95, 0.05, 0.216)),
+    "singles_rate_from_ratio": (lambda r, f: (singles_rate_from_ratio(r, f),), (4000.3, 0.171)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT32_CALLS))
+def test_float32_inputs_give_the_float64_results_as_python_floats(name):
+    call, values = FLOAT32_CALLS[name]
+    single = [np.float32(v) for v in values]
+    got, expected = call(*single), call(*map(float, single))
+    assert got == expected
+    assert all(type(x) is float for x in got)

@@ -95,6 +95,18 @@ def test_shot_noise_argument_validation():
         shot_noise(2, 1e6, noon_pairs=5e5)
 
 
+@pytest.mark.parametrize("noon_pairs, message", [
+    (1e308, "total_photons: must be a finite number, got inf"),
+    (math.nan, "noon_pairs: must be a finite number, got nan"),
+    ("x", "noon_pairs: must be a finite number, got 'x'"),
+])
+def test_shot_noise_checks_the_pair_count_then_the_photon_count(noon_pairs, message):
+    # The pair count is checked and converted before N multiplies it; a product that overflows is refused too.
+    with pytest.raises(ValueError) as raised:
+        shot_noise(3, noon_pairs=noon_pairs)
+    assert str(raised.value) == message
+
+
 def test_omega_min_benchmark():
     value = omega_min(GEOM, 2, 1e6)
     assert value == pytest.approx(6.5e-5, rel=0.02)

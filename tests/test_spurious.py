@@ -200,6 +200,23 @@ def test_every_order_passes_one_integer_check(call, expected):
         assert call() is expected
 
 
+PAIRS_CALLS = {
+    "undefined_half_width": lambda p: undefined_half_width(p, 2, COUNT),
+    "phase_shift_profile": lambda p: phase_shift_profile(p, [0.3], 2, COUNT),
+    "bias_zone_scan": lambda p: bias_zone_scan(p, 2, COUNT, SHOT),
+}
+
+
+@pytest.mark.parametrize("pairs", [math.inf, math.nan, "x"], ids=["inf", "nan", "text"])
+@pytest.mark.parametrize("name", sorted(PAIRS_CALLS))
+def test_every_pair_count_passes_one_finite_check(name, pairs):
+    # As in phase_shift_cusp.  An infinite count once gave a zero half-width and an all-defined
+    # profile of zeros, NaN was refused as "must be > 0" and text raised a TypeError.
+    with pytest.raises(ValueError) as raised:
+        PAIRS_CALLS[name](pairs)
+    assert str(raised.value) == f"pairs: must be a finite number, got {pairs!r}"
+
+
 @pytest.mark.parametrize("phi", [0.0, 1e-4, 0.3, math.pi / 4, math.pi / 2, 2.0, -7.5])
 def test_phase_shift_takes_numpy_and_int_inputs_like_floats(phi):
     expected = phase_shift_spurious(PAIRS, phi, 2, COUNT)
