@@ -14,7 +14,6 @@ from qfog import (
     PhotonPopulations,
     fiber_transmission,
     noon_ratio,
-    propagate_along_fiber,
     propagate_populations,
     singles_rate_from_ratio,
 )
@@ -24,7 +23,8 @@ path = OpticalPath(fiber_loss_db_per_km=1.0)  # pure fiber, 1 dB/km
 
 print("populations per source state along a 10 dB fiber run:")
 print(f"{'z [km]':>7} {'pairs':>10} {'singles':>10} {'fraction':>9}")
-for z, pop in propagate_along_fiber(source, path, 10_000.0, 6):
+for z in (0.0, 2_000.0, 4_000.0, 6_000.0, 8_000.0, 10_000.0):
+    pop = propagate_populations(source, fiber_transmission(path, z))
     print(f"{z / 1000:>7.1f} {pop.noon_pairs:>10.5f} {pop.singles:>10.5f} "
           f"{noon_ratio(pop):>9.4f}")
 print()

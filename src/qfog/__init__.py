@@ -29,7 +29,6 @@ from .propagation import (
     PhotonPopulations,
     fiber_transmission,
     noon_ratio,
-    propagate_along_fiber,
     propagate_populations,
     singles_rate_from_ratio,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "propagate_populations",
     "noon_ratio",
     "singles_rate_from_ratio",
-    "propagate_along_fiber",
     "SpuriousCount",
     "PhaseShiftSolution",
     "BiasZoneReport",

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 from .config import ConfigParseError, ConfigValidationError, InstrumentConfig, load_config
 from .dispersion import chromatic_delay, coherence_factor, coherence_time, pmd_delay, pump_drift_phase_error
-from .model import EARTH_RATE_RAD_PER_S, PhasePoint, _require_finite, _require_memory
+from .model import EARTH_RATE_RAD_PER_S, PhasePoint, _integer, _require_finite, _require_memory
 from .propagation import (
     PhotonPopulations,
     fiber_transmission,
@@ -318,8 +318,7 @@ def sweep_rows(cfg: InstrumentConfig, from_rad: float, to_rad: float, points: in
     refused too.
     """
     import numpy as np
-    if points < 2:
-        raise ValueError(f"points: need at least 2, got {points}")
+    points = _integer(points, "points", 2)
     _require_memory(points * SWEEP_BYTES_PER_ROW, "points", f"{points} sweep rows")
     lo, hi = _require_finite(from_rad, "--from"), _require_finite(to_rad, "--to")
     if not hi > lo:
@@ -384,6 +383,7 @@ def format_zones(cfg: InstrumentConfig, threshold: str = "shot") -> str:
 def format_mc(cfg: InstrumentConfig, trials: int, seed: int, scale: float,
               workers: int = 1) -> str:
     from .montecarlo import McConfig, simulate_experiment, simulate_uncorrelated
+    scale = _require_finite(scale, "scale")
     if not 0.0 < scale <= 1.0:
         raise ValueError(f"scale: must lie in (0, 1], got {scale}")
     det = cfg.detection

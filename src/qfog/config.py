@@ -69,12 +69,12 @@ def _field_types(cls) -> dict:
 def _build(cls, data, where: str):
     """Build the dataclass ``cls`` from a parsed JSON object, driven by its field types.
 
-    An ``int`` field must be an integer and a ``float`` field a number
-    (never a bool; stored as float); a ``WindowMode`` field takes its string
-    value; a field of any other type is a dataclass, a nested section built
-    recursively.  Fields without a default are required.  ``where`` names
-    the object in error messages: ``TOP_LEVEL``, or a section name that
-    also prefixes its keys.
+    A ``WindowMode`` field takes its string value; a field of any other
+    dataclass type is a nested section built recursively; every other value,
+    a number included, goes to ``cls`` as JSON parsed it, and ``cls``
+    checks it.  Fields without a default are required.  ``where`` names the
+    object in error messages: ``TOP_LEVEL``, or a section name that
+    prefixes its errors as ``section: key: message``.
     """
     if not isinstance(data, dict):
         raise ConfigValidationError(f"{where}: expected an object, got {type(data).__name__}")
@@ -86,31 +86,19 @@ def _build(cls, data, where: str):
     if missing:
         noun = "section(s)" if all(is_dataclass(types[name][0]) for name in missing) else "key(s)"
         raise ConfigValidationError(f"{where}: missing required {noun} {missing}")
-    nested = where != TOP_LEVEL
-    kwargs = {name: _value(types[name][0], value, f"{where}.{name}" if nested else name)
-              for name, value in data.items()}
     try:
-        return cls(**kwargs)
+        return cls(**{name: _value(types[name][0], value, name) for name, value in data.items()})
     except ValueError as exc:
-        raise ConfigValidationError(f"{where}: {exc}" if nested else str(exc)) from exc
+        raise ConfigValidationError(str(exc) if where == TOP_LEVEL else f"{where}: {exc}") from exc
 
 
 def _value(kind, value, key: str):
-    if kind is float or kind is int:
-        if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-            raise ConfigValidationError(
-                f"{key}: expected {'an integer' if kind is int else 'a number'}, got {value!r}")
-        try:
-            return value if kind is int else float(value)
-        except OverflowError:
-            raise ConfigValidationError(f"{key}: integer too large for a float") from None
     if kind is WindowMode:
         try:
             return WindowMode(value)
         except ValueError:
-            raise ConfigValidationError(
-                f"{key}: must be one of {[m.value for m in WindowMode]}, got {value!r}") from None
-    return _build(kind, value, key)
+            raise ValueError(f"{key}: must be one of {[m.value for m in WindowMode]}, got {value!r}") from None
+    return _build(kind, value, key) if is_dataclass(kind) else value
 
 
 def config_from_dict(data: dict) -> InstrumentConfig:

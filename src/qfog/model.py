@@ -44,14 +44,25 @@ def _require_memory(nbytes: float, field: str, what: str) -> None:
              f"the {physical / 2**30:.3g} GiB of physical memory")
 
 
+def _shown(value) -> str:
+    """``repr(value)`` cut to about 40 characters, so that a huge int cannot swamp a message."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int past the interpreter's digit limit for str()
+        return f"an integer of {value.bit_length()} bits"
+    return text if len(text) <= 40 else f"{text[:37]}..."
+
+
 def _integer(value, field: str, least: int | None = None) -> int:
-    """``value`` as a Python int: a Python or NumPy integer, not a bool, and at least ``least``."""
+    """``value`` as a Python int: a Python or NumPy integer, not a bool, at least ``least``
+    and, like every real, inside the float range."""
     try:
         number = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         number = None
-    _require(number is not None and (least is None or number >= least),
-             field, f"must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
+    if number is None or (least is not None and number < least):
+        raise ValueError(f"{field}: must be an integer{'' if least is None else f' >= {least}'}, got {_shown(value)}")
+    _require_finite(number, field)
     return number
 
 
@@ -63,10 +74,19 @@ def _order(value, least: int = 1) -> int:
 
 
 def _require_finite(value, field: str) -> float:
-    """A finite real ``value`` as a Python float: a NumPy float32 would keep its single precision."""
-    if not (_is_real(value) and math.isfinite(value)):
-        raise ValueError(f"{field}: must be a finite number, got {value!r}")
-    return float(value)
+    """A finite real ``value`` as a Python float: a NumPy float32 would keep its single precision.
+
+    A bool is refused, as by :func:`_integer`, and so is an int beyond the float range.
+    """
+    number = value
+    if value.__class__ is not float:
+        try:
+            number = float(value) if _is_real(value) and not isinstance(value, bool) else math.nan
+        except OverflowError:
+            number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"{field}: must be a finite number, got {_shown(value)}")
+    return number
 
 
 def _is_real(value) -> bool:

@@ -77,24 +77,3 @@ def singles_rate_from_ratio(noon_rate_hz: float, ratio: float) -> float:
     r = _require_finite(ratio, "ratio")
     _require(0.0 < r <= 1.0, "ratio", f"must lie in (0, 1], got {ratio}")
     return noon_rate_hz * (1.0 - r) / r
-
-
-def propagate_along_fiber(initial: PhotonPopulations, path: OpticalPath,
-                          length_m: float, samples: int) -> list[tuple[float, PhotonPopulations]]:
-    """Tabulate populations at evenly spaced points along the fiber.
-
-    Only the distributed attenuation enters here (lumped elements sit at
-    the ends of the link, not along the coil), so the profile starts at
-    the initial populations and its endpoint matches
-    ``propagate_populations`` with the pure-fiber transmission.  This is a
-    reporting helper; the physics is closed-form, not integrated.
-    """
-    _require(samples >= 2, "samples", f"need at least 2 samples, got {samples}")
-    length_m = _require_finite(length_m, "length_m")
-    _require(length_m >= 0.0, "length_m", "must be >= 0")
-    fiber_only = OpticalPath(path.fiber_loss_db_per_km)
-    profile = []
-    for i in range(samples):
-        z = length_m * i / (samples - 1)
-        profile.append((z, propagate_populations(initial, fiber_transmission(fiber_only, z))))
-    return profile

@@ -54,7 +54,8 @@ class SpuriousCount:
 
     @classmethod
     def from_count(cls, delta_pcc: float, measurement_time_s: float) -> "SpuriousCount":
-        return cls(delta_pcc, delta_pcc / measurement_time_s)
+        delta_pcc = _require_finite(delta_pcc, "delta_pcc")
+        return cls(delta_pcc, delta_pcc / _require_finite(measurement_time_s, "measurement_time_s"))
 
 
 class PhaseShiftSolution(namedtuple("PhaseShiftSolution", "value_rad branch_sign branch_index defined")):
@@ -113,8 +114,9 @@ def spurious_coincidences(singles_total: float, order: int, det: DetectionSpec,
     Returns
     -------
     SpuriousCount
-        ``(m_1 * ... * m_N) * (jitter / t_meas)**(N-1)`` with per-detector
-        counts ``m_i = singles_total/N + dark_rate_hz * t_meas``.  For two
+        ``m * (m * jitter / t_meas)**(N-1)``, in O(1) time and memory, with
+        the per-detector count ``m = singles_total/N + dark_rate_hz * t_meas``
+        (at N = 2 exactly :func:`spurious_coincidences_per_detector`).  For two
         detectors and no dark counts this is ``f**2 * jitter / 4 * t_meas``
         in terms of the total singles rate f.
     """
@@ -123,8 +125,12 @@ def spurious_coincidences(singles_total: float, order: int, det: DetectionSpec,
     order = _order(order, 2)
     dark_rate_hz = _require_finite(dark_rate_hz, "dark_rate_hz")
     _require(dark_rate_hz >= 0.0, "dark_rate_hz", "must be >= 0")
-    per_detector = singles_total / order + dark_rate_hz * det.measurement_time_s
-    return spurious_coincidences_per_detector([per_detector] * order, det)
+    m = singles_total / order + dark_rate_hz * det.measurement_time_s
+    try:
+        count = m * (m * (det.jitter_s / det.measurement_time_s)) ** (order - 1)
+    except OverflowError:  # float ** raises where a product would reach inf
+        count = math.inf
+    return SpuriousCount.from_count(count, det.measurement_time_s)
 
 
 def spurious_coincidences_per_detector(counts, det: DetectionSpec) -> SpuriousCount:
@@ -158,7 +164,10 @@ def coincidence_shift_forward(pairs: float, phase_total_rad: float, order: int,
     forward map inverted by :func:`phase_shift_spurious` and serves as its
     round-trip oracle.
     """
-    half = 0.5 * order * dphi_rad
+    pairs = _require_finite(pairs, "pairs")
+    phase_total_rad = _require_finite(phase_total_rad, "phase_total_rad")
+    order = _order(order)
+    half = 0.5 * order * _require_finite(dphi_rad, "dphi_rad")
     return -pairs * math.sin(order * phase_total_rad + half) * math.sin(half)
 
 
@@ -252,8 +261,10 @@ def phase_shift_profile(pairs: float, phase_total_rad, order: int,
     import numpy as np
     pairs = _require_finite(pairs, "pairs")
     _require(pairs > 0.0, "pairs", "must be > 0")
-    phases = np.asarray(phase_total_rad, dtype=float)
-    scaled = _order(order) * phases
+    phases = np.asarray(phase_total_rad)
+    if phases.dtype.kind not in "iuf":  # a bool, an int past the float range or text
+        raise ValueError(f"phase_total_rad: must be real numbers, got dtype {phases.dtype}")
+    scaled = _order(order) * phases.astype(float, copy=False)
     acos_arg = 2.0 * count.delta_pcc / pairs + np.cos(scaled)
     defined = acos_arg <= 1.0
     theta = np.arccos(np.clip(acos_arg, -1.0, 1.0))
@@ -444,6 +455,8 @@ def max_singles_flux(pairs_rate_hz: float, order: int, det: DetectionSpec) -> fl
         return 0.0
     t = det.measurement_time_s
     pairs = pairs_rate_hz * t
+    if pairs == math.inf:
+        raise ValueError(f"pairs_rate_hz: {pairs_rate_hz!r} Hz times measurement_time_s {t!r} s overflows")
     target_shift = shot_noise(order, noon_pairs=pairs)
     # Exact inversion at quadrature, as a binned product; saturates at the largest reachable shift.
     binned = 0.5 * pairs * math.sin(min(order * target_shift, 0.5 * math.pi)) / _window_factor(order, det)

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 import qfog
 from qfog import bias_zone_scan, phase_shift_profile
 from qfog import cli
-from qfog.cli import SWEEP_BYTES_PER_ROW, SWEEP_COLUMNS, _sweep_text, assemble_budget, format_budget, main, sweep_rows
+from qfog.cli import (SWEEP_BYTES_PER_ROW, SWEEP_COLUMNS, _sweep_text, assemble_budget, format_budget, format_mc, main,
+                      sweep_rows)
 from qfog.config import (
     ConfigParseError,
     ConfigValidationError,
@@ -164,9 +165,26 @@ def test_missing_section_key_rejected(bench_dict):
 
 def test_integer_beyond_float_range_rejected(bench_dict):
     bench_dict["detection"]["jitter_s"] = 10**400
-    with pytest.raises(ConfigValidationError, match="detection.jitter_s") as info:
+    with pytest.raises(ConfigValidationError, match="detection: jitter_s") as info:
         config_from_dict(bench_dict)
     assert len(str(info.value)) < 100
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("detection", "jitter_s"), True, "detection: jitter_s: must be a finite number, got True"),
+    (("detection", "jitter_s"), -1.0, "detection: jitter_s: must be > 0"),
+    (("detection", "window_mode"), "rolling",
+     "detection: window_mode: must be one of ['binned', 'sliding'], got 'rolling'"),
+    (("source", "noon_order"), 2.0, "source: noon_order: must be an integer, got 2.0"),
+    (("source", "noon_order"), True, "source: noon_order: must be an integer, got True"),
+    (("base_coherence",), True, "base_coherence: must be a finite number, got True"),
+], ids=["bool-real", "out-of-range", "window-mode", "float-order", "bool-order", "top-level-bool"])
+def test_config_errors_name_section_and_key_one_way(bench_dict, path, value, message):
+    # JSON numbers reach the value types as parsed and pass the same checks as Python arguments.
+    (bench_dict[path[0]] if len(path) == 2 else bench_dict)[path[-1]] = value
+    with pytest.raises(ConfigValidationError) as info:
+        config_from_dict(bench_dict)
+    assert str(info.value) == message
 
 
 def test_invalid_physics_rejected(bench_dict):
@@ -295,6 +313,18 @@ def test_bad_command_arguments_exit_4(args, named, tmp_path, monkeypatch, capsys
     monkeypatch.chdir(tmp_path)
     assert main([args[0], "--config", str(BENCH_CONFIG), *args[1:]]) == 4
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda cfg: sweep_rows(cfg, 0.0, 1.0, 2.5), "points: must be an integer >= 2, got 2.5"),
+    (lambda cfg: sweep_rows(cfg, 0.0, 1.0, True), "points: must be an integer >= 2, got True"),
+    (lambda cfg: format_mc(cfg, 5, 1, "x"), "scale: must be a finite number, got 'x'"),
+    (lambda cfg: format_mc(cfg, 5, 1, True), "scale: must be a finite number, got True"),
+], ids=["sweep-points-float", "sweep-points-bool", "mc-scale-text", "mc-scale-bool"])
+def test_command_arguments_pass_the_shared_number_checks(call, message):
+    with pytest.raises(ValueError) as err:
+        call(load_config(BENCH_CONFIG))
+    assert str(err.value) == message
 
 
 # The modules a command loads of those that cost start-up time: the analytic

@@ -100,19 +100,31 @@ def test_reduced_coherence_keeps_fringe_extrema():
 
 
 # NumPy 2 keeps a float32 operand's single precision against Python floats,
-# so each entry point converts the scalars it validated.
+# so each entry point converts the scalars it validated.  Each value is named
+# as its call's errors name it.
 FLOAT32_CALLS = {
-    "coherence_factor": (lambda dt, tau: (coherence_factor(dt, tau),), (3.3e-12, 8.1e-12)),
-    "chromatic_delay": (lambda z: (chromatic_delay(DispersionSpec(), z, SPECTRUM),), (2013.7,)),
-    "pmd_delay": (lambda z: (pmd_delay(DispersionSpec(), z),), (2013.7,)),
-    "pump_drift_phase_error": (lambda d, s, phi: pump_drift_phase_error(d, s, SPECTRUM, phi), (0.2, 0.013, 1.3e-4)),
+    "coherence_factor": (lambda dt, tau: (coherence_factor(dt, tau),), dict(delta_t_s=3.3e-12, tau_s=8.1e-12)),
+    "chromatic_delay": (lambda z: (chromatic_delay(DispersionSpec(), z, SPECTRUM),), dict(length_m=2013.7)),
+    "pmd_delay": (lambda z: (pmd_delay(DispersionSpec(), z),), dict(length_m=2013.7)),
+    "pump_drift_phase_error": (lambda d, s, phi: pump_drift_phase_error(d, s, SPECTRUM, phi),
+                               dict(drift_nm_per_degc=0.2, stability_degc=0.013, sagnac_phase_rad=1.3e-4)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FLOAT32_CALLS))
 def test_float32_inputs_give_the_float64_results_as_python_floats(name):
     call, values = FLOAT32_CALLS[name]
-    single = [np.float32(v) for v in values]
+    single = [np.float32(v) for v in values.values()]
     got, expected = call(*single), call(*map(float, single))
     assert got == expected
     assert all(type(x) is float for x in got)
+
+
+@pytest.mark.parametrize("bad", [True, 10**400], ids=["True", "10**400"])
+@pytest.mark.parametrize("name", sorted(FLOAT32_CALLS))
+def test_real_arguments_refuse_a_bool_or_an_int_past_the_float_range_by_name(name, bad):
+    call, values = FLOAT32_CALLS[name]
+    for i, arg in enumerate(values):
+        with pytest.raises(ValueError) as err:
+            call(*(bad if j == i else v for j, v in enumerate(values.values())))
+        assert str(err.value).startswith(f"{arg}: ") and len(str(err.value)) < 100, str(err.value)

@@ -3,6 +3,7 @@ import importlib
 import pkgutil
 import typing
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -95,14 +96,18 @@ def test_window_mode_values():
 
 
 @pytest.mark.parametrize("value, shown", [(float("nan"), "nan"), (float("inf"), "inf"),
-                                          (float("-inf"), "-inf"), ("x", "'x'"), (None, "None")])
+                                          (float("-inf"), "-inf"), ("x", "'x'"), (None, "None"), (True, "True"),
+                                          pytest.param(10**400, "1" + "0" * 36 + "...", id="10**400"),
+                                          pytest.param(10**5000, "an integer of 16610 bits", id="10**5000")])
 def test_require_finite_names_the_field_and_value(value, shown):
+    # A bool is refused as by _integer; a huge int shows at most 40 characters, even
+    # one past the digit limit of str().
     with pytest.raises(ValueError) as err:
         _require_finite(value, "f")
     assert str(err.value) == f"f: must be a finite number, got {shown}"
 
 
-@pytest.mark.parametrize("value", [True, 0, 1.5, np.int64(7200000), np.int32(-3), np.float32(0.25)])
+@pytest.mark.parametrize("value", [0, 1.5, Fraction(1, 3), np.int64(7200000), np.int32(-3), np.float32(0.25)])
 def test_require_finite_accepts_numbers(value):
     _require_finite(value, "f")
 
@@ -110,52 +115,72 @@ def test_require_finite_accepts_numbers(value):
 BENCH = load_config(Path(__file__).resolve().parents[1] / "configs" / "silvestri2024.json")
 COUNT = SpuriousCount(101.3, 0.0563)
 
-# One sample of every dataclass in qfog with a float field, built from its real
-# inputs passed through the converter ``x``.
-_FLOAT_SAMPLES = {
-    GyroGeometry: lambda x: GyroGeometry(x(2000.0), x(0.1), x(1.55e-6)),
-    SourceSpec: lambda x: SourceSpec(2, x(4000.0), x(0.95), x(3.0)),
-    OpticalPath: lambda x: OpticalPath(x(0.35), x(9.3)),
-    DetectionSpec: lambda x: DetectionSpec(x(156e-12), x(1800.0)),
-    PhasePoint: lambda x: PhasePoint(x(1.0e-3), x(0.5)),
-    SpectralSpec: lambda x: SpectralSpec(x(1550e-9), x(1e-9)),
-    DispersionSpec: lambda x: DispersionSpec(x(0.01), x(0.1), x(1e-15), x(0.2), x(0.01)),
-    PhotonPopulations: lambda x: PhotonPopulations(x(0.95), x(0.05)),
-    SpuriousCount: lambda x: SpuriousCount(x(101.3), x(0.0563)),
-    InstrumentConfig: lambda x: replace(BENCH, base_coherence=x(0.98), bias_phase_rad=x(0.3),
-                                        rotation_rad_per_s=x(1e-4)),
-    NoiseBudget: lambda x: assemble_budget(replace(BENCH, base_coherence=x(0.98), bias_phase_rad=x(0.3))),
-    BiasZoneReport: lambda x: bias_zone_scan(x(7.2e6), 2, COUNT, x(3.7e-4), (x(0.1), x(3.0)), x(3.7e-5)),
-    McResult: lambda x: simulate_uncorrelated([x(1.9e4), x(1.9e4)], DetectionSpec(x(156e-12), x(2.0)),
-                                              McConfig(1, 3)),
-    PhaseEstimateResult: lambda x: simulate_experiment(x(7.2e6), PhasePoint(x(0.3)), 2, x(0.9), COUNT,
-                                                       McConfig(1, 50)),
+
+def _own(cls, *values):
+    """``cls`` as its own builder, its fields taking ``values`` in order."""
+    return cls, [(field.name, value) for field, value in zip(dataclasses.fields(cls), values)]
+
+
+# One sample of every dataclass in qfog with a float or int field: a builder and
+# its number inputs in order, each named as the builder's errors name it.
+_SAMPLES = {
+    GyroGeometry: _own(GyroGeometry, 2000.0, 0.1, 1.55e-6),
+    SourceSpec: _own(SourceSpec, 2, 4000.0, 0.95, 3.0),
+    OpticalPath: _own(OpticalPath, 0.35, 9.3),
+    DetectionSpec: _own(DetectionSpec, 156e-12, 1800.0),
+    PhasePoint: _own(PhasePoint, 1.0e-3, 0.5),
+    SpectralSpec: _own(SpectralSpec, 1550e-9, 1e-9),
+    DispersionSpec: _own(DispersionSpec, 0.01, 0.1, 1e-15, 0.2, 0.01),
+    PhotonPopulations: _own(PhotonPopulations, 0.95, 0.05),
+    SpuriousCount: _own(SpuriousCount, 101.3, 0.0563),
+    McConfig: _own(McConfig, 1, 3),
+    InstrumentConfig: (lambda c, b, w: replace(BENCH, base_coherence=c, bias_phase_rad=b, rotation_rad_per_s=w),
+                       [("base_coherence", 0.98), ("bias_phase_rad", 0.3), ("rotation_rad_per_s", 1e-4)]),
+    NoiseBudget: (lambda c, b: assemble_budget(replace(BENCH, base_coherence=c, bias_phase_rad=b)),
+                  [("base_coherence", 0.98), ("bias_phase_rad", 0.3)]),
+    BiasZoneReport: (lambda p, n, s, lo, hi, t: bias_zone_scan(p, n, COUNT, s, (lo, hi), t),
+                     [("pairs", 7.2e6), ("order", 2), ("shot_noise_rad", 3.7e-4), ("phase_range", 0.1),
+                      ("phase_range", 3.0), ("safe_threshold_rad", 3.7e-5)]),
+    McResult: (lambda r0, r1, tau, t, seed, trials: simulate_uncorrelated(
+        [r0, r1], DetectionSpec(tau, t), McConfig(seed, trials)),
+               [("singles_rate_per_detector[0]", 1.9e4), ("singles_rate_per_detector[1]", 1.9e4),
+                ("jitter_s", 156e-12), ("measurement_time_s", 2.0), ("seed", 1), ("trials", 3)]),
+    PhaseEstimateResult: (lambda p, phi, n, c, seed, trials: simulate_experiment(
+        p, PhasePoint(phi), n, c, COUNT, McConfig(seed, trials)),
+                          [("pairs", 7.2e6), ("sagnac_phase_rad", 0.3), ("order", 2), ("coherence", 0.9),
+                           ("seed", 1), ("trials", 50)]),
 }
 
 
-def _float_dataclasses() -> set:
-    """Every dataclass defined in qfog with a field hinted ``float``."""
+def _sample(cls, x):
+    """The sample of ``cls``, its real inputs passed through the converter ``x``."""
+    build, inputs = _SAMPLES[cls]
+    return build(*(x(v) if isinstance(v, float) else v for _, v in inputs))
+
+
+def _number_dataclasses() -> set:
+    """Every dataclass defined in qfog with a field hinted ``float`` or ``int``."""
     found = set()
     for module in pkgutil.iter_modules(qfog.__path__, "qfog."):
         for cls in vars(importlib.import_module(module.name)).values():
             if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == module.name:
                 hints = typing.get_type_hints(cls)
-                if any(hints[field.name] is float for field in dataclasses.fields(cls)):
+                if any(hints[field.name] in (float, int) for field in dataclasses.fields(cls)):
                     found.add(cls)
     return found
 
 
 def test_float_samples_name_every_dataclass_with_a_float_field():
-    # A new value or result type fails here until it has a sample below.
-    assert _float_dataclasses() == set(_FLOAT_SAMPLES)
+    # A new value or result type with a float or int field fails here until it has a sample above.
+    assert _number_dataclasses() == set(_SAMPLES)
 
 
-@pytest.mark.parametrize("cls", list(_FLOAT_SAMPLES), ids=[cls.__name__ for cls in _FLOAT_SAMPLES])
+@pytest.mark.parametrize("cls", list(_SAMPLES), ids=[cls.__name__ for cls in _SAMPLES])
 def test_value_types_store_python_floats(cls):
     # NumPy 2 keeps a float32 field's single precision against Python floats, so every
     # float field holds the float of its value; int fields such as noon_order stay ints.
-    single = _FLOAT_SAMPLES[cls](np.float32)
-    double = _FLOAT_SAMPLES[cls](lambda v: float(np.float32(v)))
+    single = _sample(cls, np.float32)
+    double = _sample(cls, lambda v: float(np.float32(v)))
     assert type(single) is cls
     hints = typing.get_type_hints(cls)
     for field in dataclasses.fields(cls):
@@ -164,6 +189,18 @@ def test_value_types_store_python_floats(cls):
             stored = getattr(single, field.name)
             assert type(stored) is kind, field.name
             assert stored == getattr(double, field.name), field.name
+
+
+@pytest.mark.parametrize("bad", [True, 10**400], ids=["True", "10**400"])
+@pytest.mark.parametrize("cls", list(_SAMPLES), ids=[cls.__name__ for cls in _SAMPLES])
+def test_samples_refuse_a_bool_or_an_int_past_the_float_range_by_name(cls, bad):
+    # Each number input of each sample in turn: one rule for reals and integers alike.
+    build, inputs = _SAMPLES[cls]
+    for i, (name, _) in enumerate(inputs):
+        with pytest.raises(ValueError) as err:
+            build(*(bad if j == i else v for j, (_, v) in enumerate(inputs)))
+        assert str(err.value).startswith(f"{name}: "), (name, str(err.value))
+        assert len(str(err.value)) < 100, str(err.value)
 
 
 def test_float32_geometry_gives_a_float_phase():

@@ -8,7 +8,6 @@ from qfog import (
     PhotonPopulations,
     fiber_transmission,
     noon_ratio,
-    propagate_along_fiber,
     propagate_populations,
     singles_rate_from_ratio,
 )
@@ -83,19 +82,7 @@ def test_singles_rate_from_ratio():
 
 def test_profile_zero_length_keeps_initial():
     pop = PhotonPopulations(0.7, 0.3)
-    profile = propagate_along_fiber(pop, OpticalPath(0.35, 9.3), 0.0, 5)
-    assert profile[0][1] == pop
-    assert profile[-1][1] == pop
-
-
-def test_profile_endpoint_matches_closed_form():
-    pop = PhotonPopulations(0.95, 0.05)
-    path = OpticalPath(1.0, 0.0)  # 10 dB over 10 km, no lumped elements
-    profile = propagate_along_fiber(pop, path, 10_000.0, 11)
-    end = profile[-1][1]
-    direct = propagate_populations(pop, fiber_transmission(path, 10_000.0))
-    assert end.noon_pairs == pytest.approx(direct.noon_pairs, rel=1e-12)
-    assert end.singles == pytest.approx(direct.singles, rel=1e-12)
+    assert propagate_populations(pop, fiber_transmission(OpticalPath(0.35), 0.0)) == pop
 
 
 def test_profile_long_length_ratio_tracks_transmission():
@@ -103,33 +90,37 @@ def test_profile_long_length_ratio_tracks_transmission():
     # transmission rate: slope of log(ratio) against log(T) is one.
     pop = PhotonPopulations(0.95, 0.05)
     path = OpticalPath(1.0, 0.0)
-    profile = propagate_along_fiber(pop, path, 60_000.0, 13)  # out to 60 dB
-    (z1, p1), (z2, p2) = profile[-3], profile[-1]
-    t1 = fiber_transmission(path, z1)
-    t2 = fiber_transmission(path, z2)
+    t1, t2 = fiber_transmission(path, 50_000.0), fiber_transmission(path, 60_000.0)  # 50 and 60 dB
+    p1, p2 = propagate_populations(pop, t1), propagate_populations(pop, t2)
     slope = (math.log(noon_ratio(p2)) - math.log(noon_ratio(p1))) / (math.log(t2) - math.log(t1))
     assert slope == pytest.approx(1.0, rel=0.01)
 
 
-def test_profile_needs_two_samples():
-    with pytest.raises(ValueError, match="samples"):
-        propagate_along_fiber(PhotonPopulations(1.0, 0.0), OpticalPath(0.2), 100.0, 1)
-
-
 # NumPy 2 keeps a float32 operand's single precision against Python floats,
-# so each entry point converts the scalars it validated.
+# so each entry point converts the scalars it validated.  Each value is named
+# as its call's errors name it.
 FLOAT32_CALLS = {
-    "fiber_transmission": (lambda z: (fiber_transmission(OpticalPath(0.35, 9.3), z),), (2013.7,)),
+    "fiber_transmission": (lambda z: (fiber_transmission(OpticalPath(0.35, 9.3), z),), dict(length_m=2013.7)),
     "propagate_populations": (lambda p, s, t: (lambda out: (out.noon_pairs, out.singles))(
-        propagate_populations(PhotonPopulations(p, s), t)), (0.95, 0.05, 0.216)),
-    "singles_rate_from_ratio": (lambda r, f: (singles_rate_from_ratio(r, f),), (4000.3, 0.171)),
+        propagate_populations(PhotonPopulations(p, s), t)), dict(noon_pairs=0.95, singles=0.05, transmission=0.216)),
+    "singles_rate_from_ratio": (lambda r, f: (singles_rate_from_ratio(r, f),), dict(noon_rate_hz=4000.3, ratio=0.171)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FLOAT32_CALLS))
 def test_float32_inputs_give_the_float64_results_as_python_floats(name):
     call, values = FLOAT32_CALLS[name]
-    single = [np.float32(v) for v in values]
+    single = [np.float32(v) for v in values.values()]
     got, expected = call(*single), call(*map(float, single))
     assert got == expected
     assert all(type(x) is float for x in got)
+
+
+@pytest.mark.parametrize("bad", [True, 10**400], ids=["True", "10**400"])
+@pytest.mark.parametrize("name", sorted(FLOAT32_CALLS))
+def test_real_arguments_refuse_a_bool_or_an_int_past_the_float_range_by_name(name, bad):
+    call, values = FLOAT32_CALLS[name]
+    for i, arg in enumerate(values):
+        with pytest.raises(ValueError) as err:
+            call(*(bad if j == i else v for j, v in enumerate(values.values())))
+        assert str(err.value).startswith(f"{arg}: ") and len(str(err.value)) < 100, str(err.value)

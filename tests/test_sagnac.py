@@ -141,20 +141,32 @@ def test_omega_min_refuses_a_scale_factor_that_underflows(fiber_length_m):
 
 
 # NumPy 2 keeps a float32 operand's single precision against Python floats,
-# so each entry point converts the scalars it validated.
+# so each entry point converts the scalars it validated.  Each value is named
+# as its call's errors name it.
 FLOAT32_CALLS = {
-    "sagnac_phase": (lambda w: sagnac_phase(w, GEOM), (EARTH,)),
-    "coincidence_probability": (lambda p, c: coincidence_probability(p, PhasePoint(0.3), 2, c), (7.2e6, 0.9)),
-    "shot_noise total_photons": (lambda m: shot_noise(3, m), (1.44e7 + 1,)),
-    "shot_noise noon_pairs": (lambda p: shot_noise(3, noon_pairs=p), (7.2e6 + 1,)),
-    "omega_min": (lambda p: omega_min(GEOM, 3, noon_pairs=p), (7.2e6 + 1,)),
+    "sagnac_phase": (lambda w: sagnac_phase(w, GEOM), dict(omega_rad_per_s=EARTH)),
+    "coincidence_probability": (lambda p, c: coincidence_probability(p, PhasePoint(0.3), 2, c),
+                                dict(pairs=7.2e6, coherence=0.9)),
+    "shot_noise total_photons": (lambda m: shot_noise(3, m), dict(total_photons=1.44e7 + 1)),
+    "shot_noise noon_pairs": (lambda p: shot_noise(3, noon_pairs=p), dict(noon_pairs=7.2e6 + 1)),
+    "omega_min": (lambda p: omega_min(GEOM, 3, noon_pairs=p), dict(noon_pairs=7.2e6 + 1)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FLOAT32_CALLS))
 def test_float32_inputs_give_the_float64_results_as_python_floats(name):
     call, values = FLOAT32_CALLS[name]
-    single = [np.float32(v) for v in values]
+    single = [np.float32(v) for v in values.values()]
     got, expected = call(*single), call(*map(float, single))
     assert got == expected
     assert type(got) is float
+
+
+@pytest.mark.parametrize("bad", [True, 10**400], ids=["True", "10**400"])
+@pytest.mark.parametrize("name", sorted(FLOAT32_CALLS))
+def test_real_arguments_refuse_a_bool_or_an_int_past_the_float_range_by_name(name, bad):
+    call, values = FLOAT32_CALLS[name]
+    for i, arg in enumerate(values):
+        with pytest.raises(ValueError) as err:
+            call(*(bad if j == i else v for j, v in enumerate(values.values())))
+        assert str(err.value).startswith(f"{arg}: ") and len(str(err.value)) < 100, str(err.value)

@@ -93,11 +93,31 @@ def test_per_detector_product_matches_equal_split():
     assert product == pytest.approx(equal, rel=1e-12)
     lopsided = spurious_coincidences_per_detector([2e7, 0.5e7, 0.5e7], DET).delta_pcc
     assert lopsided != pytest.approx(equal, rel=1e-3)
+    # At two detectors the equal split runs the product's operations: equal to the last bit.
+    for singles, dark in ((6.84e7, 0.0), (3.3e5, 17.0), (1e-3, 2.5e3)):
+        m = singles / 2 + dark * DET.measurement_time_s
+        assert spurious_coincidences(singles, 2, DET, dark) == spurious_coincidences_per_detector([m, m], DET)
     # 1e9 per detector: m**N leaves float range from N = 35 on, the count does not.
     for order in range(2, 41):
         equal = spurious_coincidences(1e9 * order, order, DET).delta_pcc
         product = spurious_coincidences_per_detector([1e9] * order, DET).delta_pcc
         assert equal == pytest.approx(product, rel=1e-12)
+
+
+def test_equal_split_holds_no_list_of_n_counts():
+    tracemalloc.start()
+    try:
+        spurious_coincidences(1e9, 10**6, DET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("order", [2, 3, 40])
+def test_equal_split_overflow_reaches_the_count_as_inf(order):
+    with pytest.raises(ValueError, match=r"^delta_pcc: must be a finite number, got inf$"):
+        spurious_coincidences(1e300, order, DET)
 
 
 def test_forward_map_zero_and_periodic():
@@ -228,30 +248,50 @@ def test_phase_shift_takes_numpy_and_int_inputs_like_floats(phi):
 
 
 # NumPy 2 keeps a float32 operand's single precision against Python floats,
-# so each entry point converts the scalars it validated.
+# so each entry point converts the scalars it validated.  Each value is named
+# as its call's errors name it.
 FLOAT32_CALLS = {
-    "phase_shift_spurious": (lambda p, phi: phase_shift_spurious(p, phi, 2, COUNT)[:1], (PAIRS, 0.3)),
-    "phase_shift_cusp": (lambda p: (phase_shift_cusp(p, 2, COUNT),), (PAIRS,)),
-    "undefined_half_width": (lambda p: (undefined_half_width(p, 2, COUNT),), (PAIRS,)),
-    "phase_shift_profile": (lambda p, phi: tuple(phase_shift_profile(p, [phi], 2, COUNT)[0].tolist()), (PAIRS, 0.3)),
-    "spurious_coincidences": (lambda s, d: tuple(vars(spurious_coincidences(s, 2, DET, d)).values()), (6.84e7, 0.3)),
+    "phase_shift_spurious": (lambda p, phi: phase_shift_spurious(p, phi, 2, COUNT)[:1],
+                             dict(pairs=PAIRS, phase_total_rad=0.3)),
+    "coincidence_shift_forward": (lambda p, phi, d: (coincidence_shift_forward(p, phi, 2, d),),
+                                  dict(pairs=PAIRS, phase_total_rad=0.3, dphi_rad=-1.41e-5)),
+    "phase_shift_cusp": (lambda p: (phase_shift_cusp(p, 2, COUNT),), dict(pairs=PAIRS)),
+    "undefined_half_width": (lambda p: (undefined_half_width(p, 2, COUNT),), dict(pairs=PAIRS)),
+    "phase_shift_profile": (lambda p, phi: tuple(phase_shift_profile(p, [phi], 2, COUNT)[0].tolist()),
+                            dict(pairs=PAIRS, phase_total_rad=0.3)),
+    "spurious_coincidences": (lambda s, d: tuple(vars(spurious_coincidences(s, 2, DET, d)).values()),
+                              dict(singles_total=6.84e7, dark_rate_hz=0.3)),
     "spurious_coincidences_per_detector":
-        (lambda a, b: tuple(vars(spurious_coincidences_per_detector([a, b], DET)).values()), (3.4e7, 3.3e7)),
-    "SpuriousCount": (lambda d, r: tuple(vars(SpuriousCount(d, r)).values()), (101.3, 0.3)),
-    "max_singles_flux": (lambda r: (max_singles_flux(r, 2, DET),), (4000.3,)),
+        (lambda a, b: tuple(vars(spurious_coincidences_per_detector([a, b], DET)).values()),
+         {"counts[0]": 3.4e7, "counts[1]": 3.3e7}),
+    "SpuriousCount": (lambda d, r: tuple(vars(SpuriousCount(d, r)).values()), dict(delta_pcc=101.3, rate_hz=0.3)),
+    "SpuriousCount.from_count": (lambda d, t: tuple(vars(SpuriousCount.from_count(d, t)).values()),
+                                 dict(delta_pcc=101.3, measurement_time_s=1800.0)),
+    "max_singles_flux": (lambda r: (max_singles_flux(r, 2, DET),), dict(pairs_rate_hz=4000.3)),
     "bias_zone_scan": (lambda p, lo, s: (lambda r: r.crossings_rad + r.cusp_locations + r.optimal_bias_points
                                          + (r.shot_noise_rad, r.safe_threshold_rad))(
-        bias_zone_scan(p, 2, COUNT, s, phase_range=(lo, 3.0))), (PAIRS, 0.1, SHOT)),
+        bias_zone_scan(p, 2, COUNT, s, phase_range=(lo, 3.0))),
+                       dict(pairs=PAIRS, phase_range=0.1, shot_noise_rad=SHOT)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FLOAT32_CALLS))
 def test_float32_inputs_give_the_float64_results_as_python_floats(name):
     call, values = FLOAT32_CALLS[name]
-    single = [np.float32(v) for v in values]
+    single = [np.float32(v) for v in values.values()]
     got, expected = call(*single), call(*map(float, single))
     assert got == expected
     assert all(type(x) is float for x in got)
+
+
+@pytest.mark.parametrize("bad", [True, 10**400], ids=["True", "10**400"])
+@pytest.mark.parametrize("name", sorted(FLOAT32_CALLS))
+def test_real_arguments_refuse_a_bool_or_an_int_past_the_float_range_by_name(name, bad):
+    call, values = FLOAT32_CALLS[name]
+    for i, arg in enumerate(values):
+        with pytest.raises(ValueError) as err:
+            call(*(bad if j == i else v for j, v in enumerate(values.values())))
+        assert str(err.value).startswith(f"{arg}: ") and len(str(err.value)) < 100, str(err.value)
 
 
 def test_phase_shift_solution_is_an_immutable_record():
@@ -481,6 +521,12 @@ def test_scan_with_overwhelming_count():
 
 def test_max_flux_zero_pairs():
     assert max_singles_flux(0.0, 2, DET) == 0.0
+
+
+def test_max_flux_names_the_rate_and_time_whose_product_overflows():
+    with pytest.raises(ValueError) as err:
+        max_singles_flux(1e308, 2, DetectionSpec(1e-10, 1800.0))
+    assert str(err.value) == "pairs_rate_hz: 1e+308 Hz times measurement_time_s 1800.0 s overflows"
 
 
 def test_max_flux_monotone_in_inverse_jitter():
